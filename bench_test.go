@@ -214,7 +214,11 @@ func BenchmarkFigure3HERAMatrix(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		totalRuns = sys.Book.TotalRuns()
+		x, err := sys.Index()
+		if err != nil {
+			b.Fatal(err)
+		}
+		totalRuns = x.TotalRuns()
 		if _, err := sys.PublishReports("figure 3"); err != nil {
 			b.Fatal(err)
 		}
@@ -372,14 +376,6 @@ func BenchmarkScrub(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// B1 — bookkeeping at production scale: the paper's ">300 runs" record
-// grown to ~1000 runs, queried through the full-rescan Book (every
-// query re-lists and re-loads all N records) versus the incremental
-// bookkeep.Index (each record loaded once, queries answered from
-// memory). The index is what lets spserve and a republishing campaign
-// scale: an O(N) rescan per query is O(N²) per campaign.
-
-// ---------------------------------------------------------------------
 // F3d — incremental re-validation: the full Figure 3 campaign executed
 // cold versus re-planned over an unchanged store. The planner skips
 // every cell whose content-addressed input digest already has a green
@@ -452,6 +448,13 @@ func BenchmarkIncrementalCampaign(b *testing.B) {
 	})
 }
 
+// ---------------------------------------------------------------------
+// B1 — bookkeeping at production scale: the paper's ">300 runs" record
+// grown to ~1000 runs, queried through bookkeep.Index (each record
+// loaded once, queries answered from memory). The index is what lets
+// spserve and a republishing campaign scale: an O(N) record rescan per
+// query would be O(N²) per campaign.
+
 func BenchmarkBookkeepIndex(b *testing.B) {
 	const nRuns = 1000
 	store := storage.NewStore()
@@ -488,20 +491,6 @@ func BenchmarkBookkeepIndex(b *testing.B) {
 	// One status-page query: the matrix plus the latest run's diff
 	// baseline — what every spserve page view or per-run republish asks.
 	var cells int
-	b.Run("rescan", func(b *testing.B) {
-		book := bookkeep.New(store)
-		for i := 0; i < b.N; i++ {
-			m, err := book.Matrix()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := book.LastSuccessful("H1", ""); err != nil {
-				b.Fatal(err)
-			}
-			cells = len(m)
-		}
-		b.ReportMetric(float64(cells), "cells")
-	})
 	b.Run("index", func(b *testing.B) {
 		x, err := bookkeep.BuildIndex(store) // one-time load, amortized over the campaign
 		if err != nil {
@@ -521,7 +510,7 @@ func BenchmarkBookkeepIndex(b *testing.B) {
 		b.ReportMetric(float64(cells), "cells")
 	})
 	once("bookkeepindex", func() {
-		fmt.Printf("\n=== bookkeeping at %d runs: full rescan vs incremental index ===\n", nRuns)
+		fmt.Printf("\n=== bookkeeping at %d runs: incremental index ===\n", nRuns)
 		fmt.Printf("  matrix cells: %d (see ns/op above: the index answers from memory)\n", cells)
 	})
 }

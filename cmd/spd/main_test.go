@@ -39,6 +39,19 @@ func countRuns(t *testing.T, dir string) int {
 	return x.TotalRuns()
 }
 
+// storeFootprint reopens the store and reports its history position and
+// blob count.
+func storeFootprint(t *testing.T, dir string) (storage.Position, int) {
+	t.Helper()
+	store, err := storage.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	pos, _ := store.Position()
+	return pos, store.Stats().Blobs
+}
+
 // TestDaemonFirstCycleRecordsSecondCycleSkips is the daemon's core
 // contract: cycle one executes the full matrix onto an empty store, and
 // a fresh daemon process over the same store plans zero cells.
@@ -63,12 +76,18 @@ func TestDaemonFirstCycleRecordsSecondCycleSkips(t *testing.T) {
 
 	// In-process steady state too: two more cycles in one daemon must
 	// execute nothing — each cycle rebuilds the inputs from the
-	// definitions, so its verdicts match a fresh process exactly.
+	// definitions, so its verdicts match a fresh process exactly — and
+	// write nothing: not the unchanged plan, not a page, not the index
+	// segment, so the journal position stays put.
+	posBefore, blobsBefore := storeFootprint(t, dir)
 	if err := run(context.Background(), quickOpts(dir, 2)); err != nil {
 		t.Fatalf("two-cycle daemon run: %v", err)
 	}
 	if after := countRuns(t, dir); after != first {
 		t.Fatalf("in-process cycles executed runs over an unchanged store: %d -> %d", first, after)
+	}
+	if pos, blobs := storeFootprint(t, dir); pos != posBefore || blobs != blobsBefore {
+		t.Fatalf("idle cycles wrote to the store: position %+v -> %+v, blobs %d -> %d", posBefore, pos, blobsBefore, blobs)
 	}
 
 	// The recorded plan must say so: everything skipped, nothing run.

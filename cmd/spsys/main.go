@@ -424,7 +424,11 @@ func runMatrix(args []string) (err error) {
 	// A recorded store is inspected as-is through the read-only view
 	// (it *cannot* be mutated from here); only the in-memory store gets
 	// a quick demo campaign so there is something to show.
-	if !recorded && sys.Book.TotalRuns() == 0 {
+	x, err := sys.Index()
+	if err != nil {
+		return err
+	}
+	if !recorded && x.TotalRuns() == 0 {
 		fmt.Println("(running quick campaign to populate the matrix)")
 		exts, err := externalSet(sys, "5.34")
 		if err != nil {
@@ -464,7 +468,11 @@ func runHistory(args []string) (err error) {
 	// With a recorded store, query the existing history through the
 	// read-only view; otherwise build one by running a quick two-config
 	// campaign in memory.
-	if !recorded && sys.Book.TotalRuns() == 0 {
+	x, err := sys.Index()
+	if err != nil {
+		return err
+	}
+	if !recorded && x.TotalRuns() == 0 {
 		exts, err := externalSet(sys, "5.34")
 		if err != nil {
 			return err
@@ -488,13 +496,9 @@ func runHistory(args []string) (err error) {
 	if name == "" {
 		name = "chain01/validate"
 	}
-	// History through the bookkeeping index: one segment decode plus the
-	// record tail, instead of re-decoding every run record per query
-	// (identical answers to Book, property-tested in bookkeep).
-	x, err := bookkeep.BuildIndex(sys.Store)
-	if err != nil {
-		return err
-	}
+	// History through the system's index: its demo runs were Added as
+	// they were recorded, and a recorded store was indexed from its
+	// segment plus the record tail, so no run record is decoded here.
 	entries, err := x.History(*exp, name)
 	if err != nil {
 		return err
@@ -532,7 +536,11 @@ func runRuns(args []string) (err error) {
 	// List what is recorded (via the read-only view — a live campaign
 	// writer does not block us); only the in-memory store gets demo
 	// runs so there is something to show.
-	if !recorded && sys.Book.TotalRuns() == 0 {
+	x, err := sys.Index()
+	if err != nil {
+		return err
+	}
+	if !recorded && x.TotalRuns() == 0 {
 		exts, err := externalSet(sys, "5.34")
 		if err != nil {
 			return err
@@ -545,10 +553,6 @@ func runRuns(args []string) (err error) {
 	}
 	// Paged through the index (segment-accelerated when the store holds
 	// one): the listing never materializes the full run history.
-	x, err := bookkeep.BuildIndex(store)
-	if err != nil {
-		return err
-	}
 	var metas []*bookkeep.RunMeta
 	var next string
 	total := x.TotalRuns()

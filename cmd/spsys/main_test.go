@@ -47,10 +47,11 @@ func TestCampaignCommandDiskStore(t *testing.T) {
 		t.Fatalf("reopening campaign store: %v", err)
 	}
 	defer store.Close()
-	cells, err := bookkeep.New(store).Matrix()
+	fresh, err := bookkeep.RebuildIndex(store)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cells := fresh.Matrix()
 	if len(cells) == 0 {
 		t.Fatal("no matrix cells persisted")
 	}
@@ -66,11 +67,11 @@ func TestCampaignCommandDiskStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapCells, err := bookkeep.New(restored).Matrix()
+	fromRestored, err := bookkeep.RebuildIndex(restored)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fromSnap := report.TextMatrix(snapCells); fromSnap != fromStore {
+	if fromSnap := report.TextMatrix(fromRestored.Matrix()); fromSnap != fromStore {
 		t.Fatalf("disk store matrix differs from snapshot matrix:\n got:\n%s\nwant:\n%s", fromStore, fromSnap)
 	}
 

@@ -16,100 +16,10 @@ package bookkeep
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/runner"
-	"repro/internal/storage"
 	"repro/internal/valtest"
 )
-
-// Book provides queries over recorded validation runs.
-type Book struct {
-	store *storage.Store
-}
-
-// New returns a Book reading the given common storage.
-func New(store *storage.Store) *Book { return &Book{store: store} }
-
-// Runs returns every recorded run, ordered by run ID (which is the
-// execution order).
-func (b *Book) Runs() ([]*runner.RunRecord, error) {
-	ids := runner.ListRuns(b.store)
-	out := make([]*runner.RunRecord, 0, len(ids))
-	for _, id := range ids {
-		rec, err := runner.LoadRun(b.store, id)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
-// Run returns a single recorded run.
-func (b *Book) Run(id string) (*runner.RunRecord, error) {
-	return runner.LoadRun(b.store, id)
-}
-
-// RunsFor returns the runs of one experiment, optionally filtered to a
-// configuration label ("" matches all), in execution order.
-func (b *Book) RunsFor(experiment, config string) ([]*runner.RunRecord, error) {
-	all, err := b.Runs()
-	if err != nil {
-		return nil, err
-	}
-	var out []*runner.RunRecord
-	for _, r := range all {
-		if r.Experiment != experiment {
-			continue
-		}
-		if config != "" && r.Config != config {
-			continue
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// RunsTagged returns runs whose description contains the substring.
-func (b *Book) RunsTagged(substr string) ([]*runner.RunRecord, error) {
-	all, err := b.Runs()
-	if err != nil {
-		return nil, err
-	}
-	var out []*runner.RunRecord
-	for _, r := range all {
-		if strings.Contains(r.Description, substr) {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
-
-// LastSuccessful returns the most recent fully passing run of the
-// experiment before the given run ID ("" means before anything, i.e.
-// the latest overall).
-func (b *Book) LastSuccessful(experiment, beforeRunID string) (*runner.RunRecord, error) {
-	all, err := b.RunsFor(experiment, "")
-	if err != nil {
-		return nil, err
-	}
-	var best *runner.RunRecord
-	for _, r := range all {
-		// Numeric-aware comparison: with string >= the baseline search
-		// would wrongly exclude run-9999 when diffing run-10000.
-		if beforeRunID != "" && runner.CompareIDs(r.RunID, beforeRunID) >= 0 {
-			continue
-		}
-		if r.Passed() {
-			best = r
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("bookkeep: no successful %s run before %q", experiment, beforeRunID)
-	}
-	return best, nil
-}
 
 // TestDiff records one test whose outcome changed between two runs.
 type TestDiff struct {
@@ -180,16 +90,6 @@ func DiffRuns(baseline, current *runner.RunRecord) *Diff {
 	sort.Strings(d.Added)
 	sort.Strings(d.Removed)
 	return d
-}
-
-// DiffAgainstLastSuccess diffs the run against the last fully successful
-// run of the same experiment — the paper's prescribed comparison.
-func (b *Book) DiffAgainstLastSuccess(current *runner.RunRecord) (*Diff, error) {
-	baseline, err := b.LastSuccessful(current.Experiment, current.RunID)
-	if err != nil {
-		return nil, err
-	}
-	return DiffRuns(baseline, current), nil
 }
 
 // Attribution names the input category a regression is attributed to,
@@ -306,10 +206,7 @@ func (c *Cell) Total() int { return c.Pass + c.Fail + c.Skip + c.Error }
 type cellKey struct{ exp, cfg, ext string }
 
 // makeCell builds the Cell for a key from its latest run's meta and the
-// total run count — shared by the full-rescan Matrix here (which
-// summarizes each record first) and the incremental Index (which holds
-// metas already), so both produce identical cells from identical
-// inputs.
+// total run count.
 func makeCell(k cellKey, m *RunMeta, count int) Cell {
 	return Cell{
 		Experiment: k.exp, Config: k.cfg, Externals: k.ext,
@@ -332,37 +229,4 @@ func sortCells(cells []Cell) {
 		}
 		return a.Externals < b.Externals
 	})
-}
-
-// Matrix aggregates the latest run per (experiment, config, externals)
-// triple — the data behind the Figure 3 summary page. Cells are sorted
-// by experiment, then config, then externals.
-func (b *Book) Matrix() ([]Cell, error) {
-	all, err := b.Runs()
-	if err != nil {
-		return nil, err
-	}
-	latest := make(map[cellKey]*runner.RunRecord)
-	count := make(map[cellKey]int)
-	for _, r := range all {
-		k := cellKey{r.Experiment, r.Config, r.Externals}
-		count[k]++
-		// Numeric-aware: the latest run past rollover is run-10000, not
-		// the lexicographically larger run-9999.
-		if prev, ok := latest[k]; !ok || runner.CompareIDs(r.RunID, prev.RunID) > 0 {
-			latest[k] = r
-		}
-	}
-	cells := make([]Cell, 0, len(latest))
-	for k, r := range latest {
-		cells = append(cells, makeCell(k, Summarize(r), count[k]))
-	}
-	sortCells(cells)
-	return cells, nil
-}
-
-// TotalRuns returns the number of recorded validation runs — the
-// paper's ">300 runs over sets of pre-defined tests" figure.
-func (b *Book) TotalRuns() int {
-	return len(runner.ListRuns(b.store))
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // harness builds suites of constant-outcome tests and runs them through
-// a real runner so the book reads genuine records.
+// a real runner so the index reads genuine records.
 type harness struct {
 	store *storage.Store
 	rn    *runner.Runner
@@ -77,43 +77,46 @@ func sl6() platform.Config {
 	return platform.Config{OS: "SL6", Arch: platform.X8664, Compiler: "gcc4.4"}
 }
 
+// index returns a fresh index over everything the harness recorded.
+func (h *harness) index(t *testing.T) *Index {
+	t.Helper()
+	x, err := RebuildIndex(h.store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
 func TestRunsAndFilters(t *testing.T) {
 	h := newHarness()
-	book := New(h.store)
 	pass := map[string]valtest.Outcome{"t1": valtest.OutcomePass}
 
 	h.run(t, h.context(sl5(), "5.34", 1), "baseline", pass)
 	h.run(t, h.context(sl6(), "5.34", 1), "SL6 migration", pass)
+	x := h.index(t)
 
-	all, err := book.Runs()
-	if err != nil || len(all) != 2 {
-		t.Fatalf("Runs = %d, %v", len(all), err)
+	if all := x.Runs(); len(all) != 2 || all[1].Description != "SL6 migration" {
+		t.Fatalf("Runs = %+v", all)
 	}
-	sl6Runs, err := book.RunsFor("H1", sl6().String())
-	if err != nil || len(sl6Runs) != 1 {
-		t.Fatalf("RunsFor(SL6) = %d, %v", len(sl6Runs), err)
+	if sl6Runs := x.RunsFor("H1", sl6().String()); len(sl6Runs) != 1 {
+		t.Fatalf("RunsFor(SL6) = %d", len(sl6Runs))
 	}
-	none, _ := book.RunsFor("ZEUS", "")
-	if len(none) != 0 {
+	if none := x.RunsFor("ZEUS", ""); len(none) != 0 {
 		t.Fatalf("RunsFor(ZEUS) = %d", len(none))
 	}
-	tagged, err := book.RunsTagged("migration")
-	if err != nil || len(tagged) != 1 || tagged[0].Description != "SL6 migration" {
-		t.Fatalf("RunsTagged = %v, %v", tagged, err)
-	}
-	if book.TotalRuns() != 2 {
-		t.Fatalf("TotalRuns = %d", book.TotalRuns())
+	if x.TotalRuns() != 2 {
+		t.Fatalf("TotalRuns = %d", x.TotalRuns())
 	}
 }
 
 func TestLastSuccessful(t *testing.T) {
 	h := newHarness()
-	book := New(h.store)
 	pass := map[string]valtest.Outcome{"t1": valtest.OutcomePass}
 	fail := map[string]valtest.Outcome{"t1": valtest.OutcomeFail}
 
 	good := h.run(t, h.context(sl5(), "5.34", 1), "good", pass)
 	bad := h.run(t, h.context(sl6(), "5.34", 1), "bad", fail)
+	book := h.index(t)
 
 	base, err := book.LastSuccessful("H1", bad.RunID)
 	if err != nil || base.RunID != good.RunID {
@@ -162,7 +165,6 @@ func TestDiffRegressionsAndFixes(t *testing.T) {
 
 func TestDiffAgainstLastSuccess(t *testing.T) {
 	h := newHarness()
-	book := New(h.store)
 	pass := map[string]valtest.Outcome{"a": valtest.OutcomePass, "b": valtest.OutcomePass}
 
 	h.run(t, h.context(sl5(), "5.34", 1), "good1", pass)
@@ -170,6 +172,7 @@ func TestDiffAgainstLastSuccess(t *testing.T) {
 	bad := h.run(t, h.context(sl6(), "5.34", 1), "bad", map[string]valtest.Outcome{
 		"a": valtest.OutcomePass, "b": valtest.OutcomeFail,
 	})
+	book := h.index(t)
 
 	d, err := book.DiffAgainstLastSuccess(bad)
 	if err != nil {
@@ -209,7 +212,6 @@ func TestClassifyAttribution(t *testing.T) {
 
 func TestMatrixAggregation(t *testing.T) {
 	h := newHarness()
-	book := New(h.store)
 	pass := map[string]valtest.Outcome{"a": valtest.OutcomePass, "b": valtest.OutcomePass}
 	partial := map[string]valtest.Outcome{"a": valtest.OutcomePass, "b": valtest.OutcomeFail}
 
@@ -217,10 +219,7 @@ func TestMatrixAggregation(t *testing.T) {
 	h.run(t, h.context(sl6(), "5.34", 1), "r2", partial)
 	h.run(t, h.context(sl6(), "5.34", 1), "r3", pass) // newer run on same cell
 
-	cells, err := book.Matrix()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells := h.index(t).Matrix()
 	if len(cells) != 2 {
 		t.Fatalf("cells = %d, want 2", len(cells))
 	}

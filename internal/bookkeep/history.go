@@ -20,39 +20,6 @@ type HistoryEntry struct {
 	Statistic float64
 }
 
-// History returns every recorded execution of the named test across all
-// runs of the experiment, in execution order. This is the paper's
-// "validation of all versions against each other": the complete record
-// of one test across software revisions, configurations and external
-// sets.
-func (b *Book) History(experiment, test string) ([]HistoryEntry, error) {
-	runs, err := b.RunsFor(experiment, "")
-	if err != nil {
-		return nil, err
-	}
-	var out []HistoryEntry
-	for _, r := range runs {
-		job, ok := r.Find(test)
-		if !ok {
-			continue
-		}
-		out = append(out, HistoryEntry{
-			RunID:     r.RunID,
-			Config:    r.Config,
-			Externals: r.Externals,
-			Revision:  r.RepoRevision,
-			Timestamp: r.Timestamp,
-			Outcome:   job.Result.Outcome,
-			Detail:    job.Result.Detail,
-			Statistic: job.Result.Statistic,
-		})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("bookkeep: no recorded executions of %q for %s", test, experiment)
-	}
-	return out, nil
-}
-
 // FirstFailure returns the first entry in the test's history that did
 // not pass, and false if it never failed. Used to bisect when a
 // regression entered the record.
@@ -77,43 +44,12 @@ func Transitions(entries []HistoryEntry) []HistoryEntry {
 	return out
 }
 
-// FlakyTests returns the names of tests whose outcome changed between
-// consecutive runs on the *same* configuration, externals and software
-// revision — impossible for a deterministic suite, so any hit indicates
-// an infrastructure problem. Sorted by name.
-func (b *Book) FlakyTests(experiment string) ([]string, error) {
-	runs, err := b.RunsFor(experiment, "")
-	if err != nil {
-		return nil, err
-	}
-	type key struct {
-		test, cfg, ext string
-		rev            int
-	}
-	last := make(map[key]valtest.Outcome)
-	flaky := make(map[string]bool)
-	for _, r := range runs {
-		for _, j := range r.Jobs {
-			k := key{j.Result.Test, r.Config, r.Externals, r.RepoRevision}
-			if prev, seen := last[k]; seen && prev != j.Result.Outcome {
-				flaky[j.Result.Test] = true
-			}
-			last[k] = j.Result.Outcome
-		}
-	}
-	out := make([]string, 0, len(flaky))
-	for name := range flaky {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// History is Book.History answered from the index's job marks: no run
-// record is decoded, so a history query over a segment-backed index
-// costs one segment load for the whole process, not O(runs) record
-// loads per query. Results are identical to Book.History on the same
-// store (property-tested).
+// History returns every recorded execution of the named test across all
+// runs of the experiment, in execution order. This is the paper's
+// "validation of all versions against each other": the complete record
+// of one test across software revisions, configurations and external
+// sets. It is answered from the index's job marks, so no run record is
+// decoded.
 func (x *Index) History(experiment, test string) ([]HistoryEntry, error) {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
@@ -143,9 +79,10 @@ func (x *Index) History(experiment, test string) ([]HistoryEntry, error) {
 	return out, nil
 }
 
-// FlakyTests is Book.FlakyTests answered from the index's job marks,
-// with identical semantics: tests whose outcome changed between
-// consecutive runs on the same configuration, externals and revision.
+// FlakyTests returns the names of tests whose outcome changed between
+// consecutive runs on the *same* configuration, externals and software
+// revision — impossible for a deterministic suite, so any hit indicates
+// an infrastructure problem. Sorted by name.
 func (x *Index) FlakyTests(experiment string) ([]string, error) {
 	x.mu.RLock()
 	defer x.mu.RUnlock()

@@ -10,7 +10,6 @@ import (
 
 func TestHistoryAcrossRuns(t *testing.T) {
 	h := newHarness()
-	book := New(h.store)
 
 	h.run(t, h.context(sl5(), "5.34", 1), "r1", map[string]valtest.Outcome{
 		"chain/validate": valtest.OutcomePass,
@@ -22,7 +21,7 @@ func TestHistoryAcrossRuns(t *testing.T) {
 		"chain/validate": valtest.OutcomePass,
 	})
 
-	entries, err := book.History("H1", "chain/validate")
+	entries, err := h.index(t).History("H1", "chain/validate")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,9 +55,8 @@ func TestHistoryAcrossRuns(t *testing.T) {
 
 func TestHistoryUnknownTest(t *testing.T) {
 	h := newHarness()
-	book := New(h.store)
 	h.run(t, h.context(sl5(), "5.34", 1), "r1", map[string]valtest.Outcome{"a": valtest.OutcomePass})
-	if _, err := book.History("H1", "ghost"); err == nil {
+	if _, err := h.index(t).History("H1", "ghost"); err == nil {
 		t.Fatal("unknown test history returned")
 	}
 }
@@ -74,12 +72,12 @@ func TestFirstFailureNever(t *testing.T) {
 }
 
 // TestIndexHistoryMatchesBook: the index answers History and
-// FlakyTests identically to the rescanning Book — including after a
+// FlakyTests identically to the full-rescan oracle — including after a
 // segment round trip, so the marks survive persistence and no run
 // record is decoded to serve the queries.
 func TestIndexHistoryMatchesBook(t *testing.T) {
 	h := newHarness()
-	book := New(h.store)
+	book := NewRescanOracle(h.store)
 	h.run(t, h.context(sl5(), "5.34", 1), "r1", map[string]valtest.Outcome{
 		"chain/validate": valtest.OutcomePass,
 		"flappy":         valtest.OutcomePass,
@@ -104,7 +102,7 @@ func TestIndexHistoryMatchesBook(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: index history of %q diverges from Book:\n got %+v\nwant %+v", stage, test, got, want)
+				t.Fatalf("%s: index history of %q diverges from the oracle:\n got %+v\nwant %+v", stage, test, got, want)
 			}
 		}
 		if _, err := x.History("H1", "ghost"); err == nil {
@@ -119,7 +117,7 @@ func TestIndexHistoryMatchesBook(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(gotFlaky, wantFlaky) {
-			t.Fatalf("%s: index flaky set %v, book %v", stage, gotFlaky, wantFlaky)
+			t.Fatalf("%s: index flaky set %v, oracle %v", stage, gotFlaky, wantFlaky)
 		}
 	}
 
@@ -140,7 +138,6 @@ func TestIndexHistoryMatchesBook(t *testing.T) {
 
 func TestFlakyTests(t *testing.T) {
 	h := newHarness()
-	book := New(h.store)
 
 	// Same config, same revision, flipping outcome: flaky.
 	h.run(t, h.context(sl5(), "5.34", 1), "r1", map[string]valtest.Outcome{
@@ -157,7 +154,7 @@ func TestFlakyTests(t *testing.T) {
 		"flappy": valtest.OutcomeError,
 	})
 
-	flaky, err := book.FlakyTests("H1")
+	flaky, err := h.index(t).FlakyTests("H1")
 	if err != nil {
 		t.Fatal(err)
 	}

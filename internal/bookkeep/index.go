@@ -48,10 +48,8 @@ type JobMark struct {
 	Statistic float64
 }
 
-// Summarize reduces a full run record to its meta. Every consumer that
-// derives summary state from records — the incremental Index, the
-// full-rescan Book's matrix — goes through here, so the two can never
-// disagree about what a record summarizes to.
+// Summarize reduces a full run record to its meta; every record enters
+// the Index through here.
 func Summarize(rec *runner.RunRecord) *RunMeta {
 	m := &RunMeta{
 		RunID:       rec.RunID,
@@ -90,30 +88,26 @@ func Summarize(rec *runner.RunRecord) *RunMeta {
 	return m
 }
 
-// Index is the incremental form of the bookkeeping: it summarizes each
-// run record from the common storage exactly once and keeps the derived
-// structures — the execution-ordered run list, per-experiment run
-// lists, and the Figure 3 matrix cells — up to date in memory as
-// compact RunMetas.
-//
-// Book answers every query by re-listing and re-loading all N recorded
-// runs, which makes a campaign that publishes after each run O(N²)
-// record loads and makes a status service O(N) loads per page view.
-// Index answers the same queries from memory; Refresh catches up on
-// runs recorded since the last call (by this process or — over the
-// read-only store view — by a separate writer process) by loading only
-// the new records, and skips even the run-list enumeration when the
-// store's journal position has not moved.
+// Index is the bookkeeping query surface: it summarizes each run record
+// from the common storage exactly once and keeps the derived structures
+// — the execution-ordered run list, per-experiment run lists, and the
+// Figure 3 matrix cells — up to date in memory as compact RunMetas, so
+// every query is answered from memory. Refresh catches up on runs
+// recorded since the last call (by this process or — over the read-only
+// store view — by a separate writer process) by loading only the new
+// records, and skips even the run-list enumeration when the store's
+// journal position has not moved. Add feeds a record the process just
+// produced itself; a remote store's position does not move on its own
+// writes, so a process recording through one must Add what it records.
 //
 // The summarized state can be persisted back into the store as a
 // *segment* (SaveSegment) keyed by the journal position it covers, so
 // a later process's BuildIndex decodes one segment blob plus the
 // records recorded after it — O(tail), not O(history). See segment.go.
 //
-// Index produces results identical to Book on the same store: the two
-// share the summary and cell construction code, and the property test
-// in index_test.go asserts byte-identical matrix and diff rendering
-// under arbitrary insertion interleavings.
+// The property test in index_test.go asserts that an Index fed under
+// arbitrary insertion interleavings renders byte-identical matrices and
+// diffs to a full rescan of the records.
 //
 // Index is safe for concurrent use.
 type Index struct {
@@ -404,7 +398,7 @@ func (x *Index) RunsFor(experiment, config string) []*RunMeta {
 
 // LastSuccessful returns the most recent fully passing run of the
 // experiment before the given run ID ("" means before anything, i.e.
-// the latest overall) — Book.LastSuccessful answered from memory.
+// the latest overall).
 func (x *Index) LastSuccessful(experiment, beforeRunID string) (*RunMeta, error) {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
@@ -438,9 +432,9 @@ func (x *Index) DiffAgainstLastSuccess(current *runner.RunRecord) (*Diff, error)
 	return DiffRuns(baseline, current), nil
 }
 
-// Matrix returns the Figure 3 status matrix from the maintained cells —
-// no storage access, identical content to Book.Matrix on the same
-// store.
+// Matrix returns the Figure 3 status matrix from the maintained cells,
+// sorted by experiment, then config, then externals — no storage
+// access.
 func (x *Index) Matrix() []Cell {
 	x.mu.RLock()
 	defer x.mu.RUnlock()

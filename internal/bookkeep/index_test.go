@@ -17,8 +17,8 @@ import (
 	"repro/internal/valtest"
 )
 
-// fixture drives the real runner against a store so both Book and Index
-// read genuine records.
+// fixture drives the real runner against a store so both the index and
+// the full-rescan oracle read genuine records.
 type fixture struct {
 	store *storage.Store
 	rn    *runner.Runner
@@ -98,7 +98,7 @@ func TestRunOrderingPastRollover(t *testing.T) {
 
 	// Baseline selection: the success immediately before run-10000 is
 	// run-9999. The lexicographic bug silently returned run-9998.
-	book := bookkeep.New(f.store)
+	book := bookkeep.NewRescanOracle(f.store)
 	base, err := book.LastSuccessful("H1", "run-10000")
 	if err != nil {
 		t.Fatal(err)
@@ -158,12 +158,12 @@ func populateMixed(t *testing.T, f *fixture, runs int) []*runner.RunRecord {
 // TestIndexMatchesBookProperty: an Index built incrementally, with
 // records arriving in any interleaving of direct Adds and storage
 // Refreshes, renders the byte-identical matrix and the byte-identical
-// per-run diff-against-last-success as the full-rescan Book over the
+// per-run diff-against-last-success as the full-rescan oracle over the
 // same store.
 func TestIndexMatchesBookProperty(t *testing.T) {
 	f := newFixture()
 	recs := populateMixed(t, f, 24)
-	book := bookkeep.New(f.store)
+	book := bookkeep.NewRescanOracle(f.store)
 
 	wantMatrix, err := book.Matrix()
 	if err != nil {
@@ -200,7 +200,7 @@ func TestIndexMatchesBookProperty(t *testing.T) {
 		}
 
 		if got := report.TextMatrix(x.Matrix()); got != wantMatrixText {
-			t.Fatalf("seed %d: index matrix differs from book:\n got:\n%s\nwant:\n%s", seed, got, wantMatrixText)
+			t.Fatalf("seed %d: index matrix differs from the oracle:\n got:\n%s\nwant:\n%s", seed, got, wantMatrixText)
 		}
 		if x.TotalRuns() != book.TotalRuns() {
 			t.Fatalf("seed %d: TotalRuns %d != %d", seed, x.TotalRuns(), book.TotalRuns())
@@ -247,13 +247,12 @@ func TestIndexRefreshIsIncremental(t *testing.T) {
 	if x.TotalRuns() != 9 {
 		t.Fatalf("TotalRuns after refresh = %d", x.TotalRuns())
 	}
-	book := bookkeep.New(f.store)
-	cells, err := book.Matrix()
+	cells, err := bookkeep.NewRescanOracle(f.store).Matrix()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := report.TextMatrix(x.Matrix()); got != report.TextMatrix(cells) {
-		t.Fatal("refreshed index disagrees with book")
+		t.Fatal("refreshed index disagrees with the oracle")
 	}
 }
 

@@ -1,9 +1,11 @@
 package bookkeep
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"strings"
 
@@ -242,6 +244,17 @@ func decodeSegment(data []byte) (segment, error) {
 		return s, fail
 	}
 	s.metas = make([]*RunMeta, 0, count)
+	// Runs with byte-identical mark lists (a suite's unchanged verdicts)
+	// share one decoded slice; marks are never mutated once indexed. The
+	// lists are keyed by a hash of their encoding and confirmed by
+	// comparing the encodings, so no key is copied.
+	type markList struct {
+		enc   []byte
+		marks []JobMark
+	}
+	shared := make(map[uint64]markList)
+	seed := maphash.MakeSeed()
+	var scratch []JobMark
 	for i := uint64(0); i < count; i++ {
 		m := &RunMeta{}
 		if m.RunID, ok = getStr(); !ok {
@@ -283,7 +296,8 @@ func decodeSegment(data []byte) (segment, error) {
 		if !ok || nMarks > uint64(len(data)) { // every mark takes >1 byte
 			return s, fail
 		}
-		m.Marks = make([]JobMark, 0, nMarks)
+		encMarks := data
+		scratch = scratch[:0]
 		for j := uint64(0); j < nMarks; j++ {
 			var mk JobMark
 			if mk.Test, ok = interned(); !ok {
@@ -302,7 +316,15 @@ func decodeSegment(data []byte) (segment, error) {
 				return s, fail
 			}
 			mk.Statistic = math.Float64frombits(bits)
-			m.Marks = append(m.Marks, mk)
+			scratch = append(scratch, mk)
+		}
+		encMarks = encMarks[:len(encMarks)-len(data)]
+		h := maphash.Bytes(seed, encMarks)
+		if prior, ok := shared[h]; ok && bytes.Equal(prior.enc, encMarks) {
+			m.Marks = prior.marks
+		} else {
+			m.Marks = append(make([]JobMark, 0, len(scratch)), scratch...)
+			shared[h] = markList{encMarks, m.Marks}
 		}
 		s.metas = append(s.metas, m)
 	}

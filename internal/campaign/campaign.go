@@ -293,16 +293,21 @@ func (e *Engine) RunPlanContext(ctx context.Context, plan *Plan) (*Summary, erro
 		}(i)
 	}
 	wg.Wait()
+	return e.summarize(outcomes, plan)
+}
 
-	matrix, err := e.sys.Matrix()
+// summarize pairs a drained plan's outcomes with the recorded matrix and
+// run total, both read from the system's index.
+func (e *Engine) summarize(outcomes []Outcome, plan *Plan) (*Summary, error) {
+	x, err := e.sys.Index()
 	if err != nil {
 		return nil, fmt.Errorf("campaign: aggregating matrix: %w", err)
 	}
 	return &Summary{
 		Outcomes:  outcomes,
 		Plan:      plan,
-		Matrix:    matrix,
-		TotalRuns: e.sys.Book.TotalRuns(),
+		Matrix:    x.Matrix(),
+		TotalRuns: x.TotalRuns(),
 	}, nil
 }
 

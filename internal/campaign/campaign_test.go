@@ -130,7 +130,11 @@ func TestEngineMatchesDirectCoreCalls(t *testing.T) {
 			}
 		}
 	}
-	wantRuns := serial.Book.TotalRuns()
+	x, err := serial.Index()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRuns := x.TotalRuns()
 	wantMatrix, err := serial.Matrix()
 	if err != nil {
 		t.Fatal(err)

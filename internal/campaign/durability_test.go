@@ -90,10 +90,11 @@ func TestCampaignDurabilityRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
-	reCells, err := bookkeep.New(reopened).Matrix()
+	fresh, err := bookkeep.RebuildIndex(reopened)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reCells := fresh.Matrix()
 	if !reflect.DeepEqual(reCells, diskCells) {
 		a, _ := json.Marshal(reCells)
 		b, _ := json.Marshal(diskCells)

@@ -158,8 +158,8 @@ type cellRecord struct {
 	Passed     bool   `json:"passed"`
 }
 
-// Plan computes the campaign plan for the cells: build the bookkeeping
-// index over the system's store, compute every cell's current input
+// Plan computes the campaign plan for the cells: bring the system's
+// bookkeeping index up to date, compute every cell's current input
 // digest, and skip each cell whose digest already has a fully green run
 // (or, for migrations, a green cell-completion record). Cells of an
 // experiment that follow a planned-to-run migration are conservatively
@@ -170,7 +170,7 @@ func (e *Engine) Plan(cells []Cell) (*Plan, error) {
 	if e.sys == nil {
 		return nil, fmt.Errorf("campaign: engine has no system")
 	}
-	x, err := bookkeep.BuildIndex(e.sys.Store)
+	x, err := e.sys.Index()
 	if err != nil {
 		return nil, fmt.Errorf("campaign: indexing recorded state: %w", err)
 	}
@@ -314,6 +314,11 @@ func (p *Plan) Store(store *storage.Store) error {
 	data, err := json.Marshal(p.Record())
 	if err != nil {
 		return fmt.Errorf("campaign: encoding plan: %w", err)
+	}
+	// An unchanged plan is not re-recorded, so an idle cycle appends
+	// nothing to the journal and leaves the index segment current.
+	if prior, err := store.Hash(PlanNS, LatestPlanKey); err == nil && prior == storage.HashBytes(data) {
+		return nil
 	}
 	if _, err := store.Put(PlanNS, LatestPlanKey, data); err != nil {
 		return fmt.Errorf("campaign: recording plan: %w", err)

@@ -272,16 +272,11 @@ func (e *Engine) DrainPlan(ctx context.Context, plan *Plan, opts QueueOptions) (
 	}
 	mu.Unlock()
 
-	matrix, err := e.sys.Matrix()
+	sum, err := e.summarize(outcomes, plan)
 	if err != nil {
-		return nil, nil, fmt.Errorf("campaign: aggregating matrix: %w", err)
+		return nil, nil, err
 	}
-	return &Summary{
-		Outcomes:  outcomes,
-		Plan:      plan,
-		Matrix:    matrix,
-		TotalRuns: e.sys.Book.TotalRuns(),
-	}, &stats, nil
+	return sum, &stats, nil
 }
 
 // queueDigest returns the lease identity of a planned cell: its input

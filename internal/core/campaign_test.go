@@ -76,7 +76,7 @@ func TestFullCampaignIntegration(t *testing.T) {
 	}
 
 	// Bookkeeping queries work across the accumulated history.
-	flaky, err := sys.Book.FlakyTests("H1")
+	flaky, err := sysIndex(t, sys).FlakyTests("H1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestFullCampaignIntegration(t *testing.T) {
 	}
 	st, _ := sys.Experiment("H1")
 	someTest := "compile/" + st.Repo.Packages()[0].Name
-	history, err := sys.Book.History("H1", someTest)
+	history, err := sysIndex(t, sys).History("H1", someTest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,14 +125,14 @@ func TestFullCampaignIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The restored archive still answers bookkeeping queries.
-	book := bookkeep.New(restored)
-	if book.TotalRuns() != sys.Book.TotalRuns() {
-		t.Fatalf("restored runs = %d, want %d", book.TotalRuns(), sys.Book.TotalRuns())
-	}
-	cells2, err := book.Matrix()
+	book, err := bookkeep.RebuildIndex(restored)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if want := sysIndex(t, sys).TotalRuns(); book.TotalRuns() != want {
+		t.Fatalf("restored runs = %d, want %d", book.TotalRuns(), want)
+	}
+	cells2 := book.Matrix()
 	if len(cells2) != len(cells) {
 		t.Fatalf("restored matrix = %d cells", len(cells2))
 	}
@@ -164,8 +164,8 @@ func TestMultiExperimentIsolation(t *testing.T) {
 		t.Fatal("isolated baselines failed")
 	}
 	// Each experiment's history sees only its own runs.
-	runsA, _ := sys.Book.RunsFor("EXPA", "")
-	runsB, _ := sys.Book.RunsFor("EXPB", "")
+	runsA := sysIndex(t, sys).RunsFor("EXPA", "")
+	runsB := sysIndex(t, sys).RunsFor("EXPB", "")
 	if len(runsA) != 1 || len(runsB) != 1 {
 		t.Fatalf("runs: A=%d B=%d", len(runsA), len(runsB))
 	}

@@ -70,8 +70,6 @@ type SPSystem struct {
 	Host *vmhost.Host
 	// Runner executes validation suites.
 	Runner *runner.Runner
-	// Book queries recorded runs.
-	Book *bookkeep.Book
 	// Builder compiles experiment software (shared build cache).
 	Builder *buildsys.Builder
 	// Docs is the level 1 documentation archive (Table 1).
@@ -80,6 +78,9 @@ type SPSystem struct {
 	mu      sync.RWMutex
 	exps    map[string]*ExperimentState // guarded by mu
 	drivers map[string]valtest.Driver   // guarded by mu
+
+	idxMu sync.Mutex
+	idx   *bookkeep.Index // guarded by idxMu; built on first use (see Index)
 }
 
 // New returns an SPSystem with the paper's platform and external
@@ -112,7 +113,6 @@ func NewWith(store *storage.Store, reg *platform.Registry) *SPSystem {
 		Clock:     clock,
 		Host:      vmhost.NewHost(store),
 		Runner:    runner.New(store, clock),
-		Book:      bookkeep.New(store),
 		Builder:   buildsys.NewBuilder(reg, store),
 		Docs:      docsys.NewArchive(store),
 		exps:      make(map[string]*ExperimentState),
@@ -297,7 +297,40 @@ func (s *SPSystem) ValidateDriver(driver, experiment string, cfg platform.Config
 	if err != nil {
 		return nil, fmt.Errorf("core: provisioning %s on driver %s: %w", experiment, drv.Name(), err)
 	}
-	return s.Runner.RunWith(drv, st.Suite, ctx, tag)
+	return s.recorded(s.Runner.RunWith(drv, st.Suite, ctx, tag))
+}
+
+// Index returns the system's bookkeeping index, current with the store.
+// The first call builds it (from the store's index segment when one
+// exists); later calls Refresh it, so runs other processes recorded are
+// seen. Every query about recorded runs — baselines, diffs, the matrix,
+// the campaign plan, publishing — is answered from this one index.
+func (s *SPSystem) Index() (*bookkeep.Index, error) {
+	s.idxMu.Lock()
+	defer s.idxMu.Unlock()
+	if s.idx == nil {
+		x, err := bookkeep.BuildIndex(s.Store)
+		if err != nil {
+			return nil, err
+		}
+		s.idx = x
+		return x, nil
+	}
+	return s.idx, s.idx.Refresh()
+}
+
+// recorded passes a run this system just recorded through, Adding it to
+// the index if one is built. Refresh alone would miss it on a remote
+// store, whose position does not move on the worker's own writes.
+func (s *SPSystem) recorded(rec *runner.RunRecord, err error) (*runner.RunRecord, error) {
+	if err == nil {
+		s.idxMu.Lock()
+		if s.idx != nil {
+			s.idx.Add(rec)
+		}
+		s.idxMu.Unlock()
+	}
+	return rec, err
 }
 
 // CellDigest returns the content-addressed input digest a validation of
@@ -339,10 +372,14 @@ func (s *SPSystem) Planner(experiment string) (*migrate.Planner, error) {
 	if err != nil {
 		return nil, err
 	}
+	x, err := s.Index()
+	if err != nil {
+		return nil, err
+	}
 	return &migrate.Planner{
 		Repo:     st.Repo,
 		Registry: s.Registry,
-		Book:     s.Book,
+		Index:    x,
 		Run:      s.RunFunc(experiment),
 	}, nil
 }
@@ -360,21 +397,22 @@ func (s *SPSystem) MigrateExperiment(experiment string, target platform.Config, 
 // Diagnose examines a failed run the way the paper prescribes: diff
 // against the last successful run and attribute the regressions.
 func (s *SPSystem) Diagnose(rec *runner.RunRecord) (*bookkeep.Diff, bookkeep.Attribution, error) {
-	diff, err := s.Book.DiffAgainstLastSuccess(rec)
+	x, err := s.Index()
+	if err != nil {
+		return nil, bookkeep.AttrNone, err
+	}
+	diff, err := x.DiffAgainstLastSuccess(rec)
 	if err != nil {
 		return nil, bookkeep.AttrNone, err
 	}
 	return diff, bookkeep.Classify(diff), nil
 }
 
-// Matrix returns the current Figure 3 status matrix. It is answered
-// from a bookkeeping index — accelerated by the store's persisted index
-// segment when one exists — rather than a full record rescan, so the
-// cost scales with what changed since the segment, not with the length
-// of the recorded history. The index and the rescanning Book produce
-// identical matrices (property-tested).
+// Matrix returns the current Figure 3 status matrix from the system's
+// index, so the cost scales with what was recorded since the last
+// query, not with the length of the recorded history.
 func (s *SPSystem) Matrix() ([]bookkeep.Cell, error) {
-	x, err := bookkeep.BuildIndex(s.Store)
+	x, err := s.Index()
 	if err != nil {
 		return nil, err
 	}
@@ -390,7 +428,7 @@ func (s *SPSystem) Matrix() ([]bookkeep.Cell, error) {
 // by decoding one segment plus the records recorded since, instead of
 // every record ever written.
 func (s *SPSystem) PublishReports(title string) (int, error) {
-	x, err := bookkeep.BuildIndex(s.Store)
+	x, err := s.Index()
 	if err != nil {
 		return 0, err
 	}
@@ -437,7 +475,7 @@ func (s *SPSystem) ScrubDriver(driver string, pageSize int, tag string) (*runner
 	if err != nil {
 		return nil, fmt.Errorf("core: provisioning scrub on driver %s: %w", drv.Name(), err)
 	}
-	return s.Runner.RunWith(drv, suite, ctx, tag)
+	return s.recorded(s.Runner.RunWith(drv, suite, ctx, tag))
 }
 
 // Freeze conserves an image at the current simulated time — the final

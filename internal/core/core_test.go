@@ -58,6 +58,16 @@ func sl6() platform.Config {
 	return platform.Config{OS: "SL6", Arch: platform.X8664, Compiler: "gcc4.4"}
 }
 
+// sysIndex returns the system's index, current with its store.
+func sysIndex(t *testing.T, s *SPSystem) *bookkeep.Index {
+	t.Helper()
+	x, err := s.Index()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
 func TestRegisterAndValidate(t *testing.T) {
 	s := New()
 	if err := s.RegisterExperiment(tinyDef("H1")); err != nil {
@@ -91,8 +101,8 @@ func TestRegisterAndValidate(t *testing.T) {
 	if !rec2.Passed() {
 		t.Fatal("revalidation failed")
 	}
-	if s.Book.TotalRuns() != 2 {
-		t.Fatalf("recorded runs = %d", s.Book.TotalRuns())
+	if n := sysIndex(t, s).TotalRuns(); n != 2 {
+		t.Fatalf("recorded runs = %d", n)
 	}
 }
 

@@ -132,7 +132,7 @@ func TestFaultDriverProvisionIsolated(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unreachable") {
 		t.Fatalf("flaky provision error = %v, want injected unreachable fault", err)
 	}
-	if n := s.Book.TotalRuns(); n != 0 {
+	if n := sysIndex(t, s).TotalRuns(); n != 0 {
 		t.Fatalf("failed provisioning recorded %d runs, want 0", n)
 	}
 	rec, err := s.Validate("H1", sl6(), stdSet(t, s), "after fault")

@@ -65,7 +65,7 @@ func newPlanner(t *testing.T, reg *platform.Registry) *migrate.Planner {
 	return &migrate.Planner{
 		Repo:     repo,
 		Registry: reg,
-		Book:     bookkeep.New(store),
+		Index:    bookkeep.NewIndex(store),
 		Run:      run,
 	}
 }

@@ -102,8 +102,11 @@ type Planner struct {
 	Repo *swrepo.Repository
 	// Registry resolves compiler behaviour for intervention planning.
 	Registry *platform.Registry
-	// Book reads past runs for baselines and diffs.
-	Book *bookkeep.Book
+	// Index locates each failed iteration's baseline among the recorded
+	// runs. Migrate refreshes it before each diff, so runs recorded
+	// through Run must either land in the store's position or be Added
+	// by the caller.
+	Index *bookkeep.Index
 	// Run executes one validation run on a target.
 	Run RunFunc
 	// MaxIterations bounds the fix-and-revalidate loop (default 5).
@@ -143,9 +146,11 @@ func (p *Planner) Migrate(target platform.Config, exts *externals.Set, tag strin
 			return rep, nil
 		}
 
-		if diff, err := p.Book.DiffAgainstLastSuccess(rec); err == nil {
-			iter.Regressions = len(diff.Regressions)
-			iter.Attribution = bookkeep.Classify(diff)
+		if err := p.Index.Refresh(); err == nil {
+			if diff, err := p.Index.DiffAgainstLastSuccess(rec); err == nil {
+				iter.Regressions = len(diff.Regressions)
+				iter.Attribution = bookkeep.Classify(diff)
+			}
 		}
 
 		ivs := p.proposeInterventions(target, exts)

@@ -76,7 +76,7 @@ func (m *miniSystem) planner() *Planner {
 	return &Planner{
 		Repo:     m.repo,
 		Registry: m.reg,
-		Book:     bookkeep.New(m.store),
+		Index:    bookkeep.NewIndex(m.store),
 		Run:      m.runFunc(),
 	}
 }
@@ -227,7 +227,7 @@ func TestMigrateIterationBudget(t *testing.T) {
 	p := &Planner{
 		Repo:     repo,
 		Registry: platform.NewRegistry(),
-		Book:     bookkeep.New(storage.NewStore()),
+		Index:    bookkeep.NewIndex(storage.NewStore()),
 		Run: func(cfg platform.Config, exts *externals.Set, desc string) (*runner.RunRecord, error) {
 			calls++
 			return &runner.RunRecord{

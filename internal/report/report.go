@@ -304,7 +304,7 @@ func RenderSite(x *bookkeep.Index, title string) (map[string][]byte, error) {
 	return pages, nil
 }
 
-// PublishStats summarizes one PublishSite pass.
+// PublishStats summarizes one PublishSiteIndexed pass.
 type PublishStats struct {
 	// Pages is the number of pages the site comprises.
 	Pages int
@@ -388,54 +388,33 @@ func PublishSiteIndexed(store *storage.Store, x *bookkeep.Index, title string) (
 	return stats, nil
 }
 
-// PublishSite regenerates the whole site onto the common storage,
-// returning the number of pages the site comprises. This is the
-// "script-based web pages" machinery: derived entirely from the
-// bookkeeping records, rerunnable at any time. Unchanged pages are
-// skipped (see PublishSiteIndexed); callers that want the
-// written/skipped split should build an index and use that directly.
-func PublishSite(store *storage.Store, title string) (int, error) {
-	x, err := bookkeep.BuildIndex(store)
-	if err != nil {
-		return 0, err
-	}
-	stats, err := PublishSiteIndexed(store, x, title)
-	return stats.Pages, err
-}
-
 // TextRunsByDescription renders the paper's "available validation runs
 // for a given description" view: runs grouped by their description tag,
 // in execution order within each group.
-func TextRunsByDescription(book *bookkeep.Book) (string, error) {
-	runs, err := book.Runs()
-	if err != nil {
-		return "", err
-	}
-	groups := make(map[string][]*runner.RunRecord)
+func TextRunsByDescription(x *bookkeep.Index) string {
+	groups := make(map[string][]*bookkeep.RunMeta)
 	var order []string
-	for _, r := range runs {
-		if _, seen := groups[r.Description]; !seen {
-			order = append(order, r.Description)
+	for _, m := range x.Runs() {
+		if _, seen := groups[m.Description]; !seen {
+			order = append(order, m.Description)
 		}
-		groups[r.Description] = append(groups[r.Description], r)
+		groups[m.Description] = append(groups[m.Description], m)
 	}
 	var b strings.Builder
 	for _, desc := range order {
 		fmt.Fprintf(&b, "%q (%d runs)\n", desc, len(groups[desc]))
 		tw := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-		for _, r := range groups[desc] {
-			counts := r.Counts()
+		for _, m := range groups[desc] {
 			status := "OK"
-			if !r.Passed() {
+			if !m.Passed {
 				status = "FAILED"
 			}
 			fmt.Fprintf(tw, "  %s\t%s\t%s\t%s\tpass=%d fail=%d\t%s\n",
-				r.RunID, r.Experiment, r.Config, r.Externals,
-				counts[valtest.OutcomePass], counts[valtest.OutcomeFail], status)
+				m.RunID, m.Experiment, m.Config, m.Externals, m.Pass, m.Fail, status)
 		}
 		tw.Flush()
 	}
-	return b.String(), nil
+	return b.String()
 }
 
 // ExperimentSummary is a compact per-experiment rollup used by the CLI.

@@ -149,12 +149,16 @@ func TestPublishSite(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pages, err := PublishSite(store, "sp-system")
+	x, err := bookkeep.BuildIndex(store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pages != 3 { // index + 2 runs
-		t.Fatalf("pages = %d, want 3", pages)
+	stats, err := PublishSiteIndexed(store, x, "sp-system")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Pages != 3 { // index + 2 runs
+		t.Fatalf("pages = %d, want 3", stats.Pages)
 	}
 	index, err := store.Get(WebNS, "index.html")
 	if err != nil || !strings.Contains(string(index), "sp-system") {
@@ -250,10 +254,11 @@ func TestTextRunsByDescription(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out, err := TextRunsByDescription(bookkeep.New(store))
+	x, err := bookkeep.RebuildIndex(store)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := TextRunsByDescription(x)
 	if !strings.Contains(out, `"SL6 migration" (2 runs)`) {
 		t.Fatalf("grouping missing:\n%s", out)
 	}

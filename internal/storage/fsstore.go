@@ -908,7 +908,7 @@ func (b *FSBackend) Compact() (CompactStats, error) {
 		BlobBytes:  b.blobBytes,
 	}
 	b.statsMu.Unlock()
-	data, err := encodeSnapshot(hdr, b.names)
+	head, body, err := encodeSnapshot(hdr, b.names)
 	if err != nil {
 		return CompactStats{}, err
 	}
@@ -916,7 +916,7 @@ func (b *FSBackend) Compact() (CompactStats, error) {
 		Generation:    hdr.Generation,
 		Bindings:      len(b.names),
 		JournalBytes:  b.journalEnd,
-		SnapshotBytes: int64(len(data)),
+		SnapshotBytes: int64(len(head) + len(body)),
 	}
 
 	// Step 1: stage + fsync.
@@ -929,7 +929,11 @@ func (b *FSBackend) Compact() (CompactStats, error) {
 		os.Remove(tmpName)
 		return CompactStats{}, err
 	}
-	if _, err := tmp.Write(data); err != nil {
+	_, err = tmp.Write(head)
+	if err == nil {
+		_, err = tmp.Write(body)
+	}
+	if err != nil {
 		tmp.Close() //spvet:allow syncclose — the write error propagates; close is cleanup
 		return abort(fmt.Errorf("storage: staging snapshot: %w", err))
 	}

@@ -275,6 +275,12 @@ func (b *RemoteBackend) RemotePosition() (PositionDoc, error) {
 	return doc, nil
 }
 
+// namesPageLimit is the page size of Refresh's walk over /names. Both
+// ends hold a whole page at once (marshalled and gzipped by the server,
+// read and decoded by the client) on top of the name mirror, so the page
+// size bounds the walk's transient memory.
+const namesPageLimit = 5000
+
 // Refresh catches the name mirror up with the remote store. The cheap
 // steady-state path is one /position GET; only when the remote position
 // moved (or the remote has no positional history to compare) is the
@@ -296,7 +302,7 @@ func (b *RemoteBackend) Refresh() error {
 	names := make(map[string]string)
 	after := ""
 	for {
-		q := url.Values{"limit": {fmt.Sprint(MaxPageLimit)}}
+		q := url.Values{"limit": {fmt.Sprint(namesPageLimit)}}
 		if after != "" {
 			q.Set("after", after)
 		}

@@ -57,36 +57,34 @@ var snapshotCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 func snapshotPath(dir string) string { return filepath.Join(dir, snapshotName) }
 
-// encodeSnapshot renders the snapshot file bytes for the given bindings
-// and header skeleton (Format, Bindings and CRC are filled in here).
-func encodeSnapshot(hdr snapshotHeader, names map[string]string) ([]byte, error) {
+// encodeSnapshot renders the snapshot file for the given bindings and
+// header skeleton (Format, Bindings and CRC are filled in here) as its
+// header line and body, which the file holds in that order. The body
+// buffer is sized up front, so a large name table is rendered once,
+// without growth copies.
+func encodeSnapshot(hdr snapshotHeader, names map[string]string) (head, body []byte, err error) {
 	keys := make([]string, 0, len(names))
-	for nk := range names {
+	size := 0
+	for nk, h := range names {
 		keys = append(keys, nk)
+		size += len(nk) + len(h) + len(`{"n":"","h":""}`+"\n")
 	}
 	sort.Strings(keys)
-	var body bytes.Buffer
-	body.Grow(len(keys) * 96)
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	enc := json.NewEncoder(buf)
 	for _, nk := range keys {
-		line, err := json.Marshal(journalEntry{Name: nk, Hash: names[nk]})
-		if err != nil {
-			return nil, fmt.Errorf("storage: encoding snapshot entry %s: %w", nk, err)
+		if err := enc.Encode(journalEntry{Name: nk, Hash: names[nk]}); err != nil {
+			return nil, nil, fmt.Errorf("storage: encoding snapshot entry %s: %w", nk, err)
 		}
-		body.Write(line)
-		body.WriteByte('\n')
 	}
+	body = buf.Bytes()
 	hdr.Format = snapshotFormat
 	hdr.Bindings = len(keys)
-	hdr.CRC = fmt.Sprintf("%08x", crc32.Checksum(body.Bytes(), snapshotCRCTable))
-	head, err := json.Marshal(hdr)
-	if err != nil {
-		return nil, fmt.Errorf("storage: encoding snapshot header: %w", err)
+	hdr.CRC = fmt.Sprintf("%08x", crc32.Checksum(body, snapshotCRCTable))
+	if head, err = json.Marshal(hdr); err != nil {
+		return nil, nil, fmt.Errorf("storage: encoding snapshot header: %w", err)
 	}
-	out := make([]byte, 0, len(head)+1+body.Len())
-	out = append(out, head...)
-	out = append(out, '\n')
-	out = append(out, body.Bytes()...)
-	return out, nil
+	return append(head, '\n'), body, nil
 }
 
 // decodeSnapshot parses and verifies snapshot file bytes into a binding

@@ -2,6 +2,8 @@ package swrepo
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/platform"
 )
@@ -59,7 +61,7 @@ func (r *Repository) Apply(p Patch) error {
 			return fmt.Errorf("swrepo: patch %s: package %q uses none of the replaced APIs", p.ID, p.Package)
 		}
 		r.Revision++
-		r.applied = append(r.applied, p)
+		r.logApplied(p)
 		return nil
 	}
 	var unit *SourceUnit
@@ -98,14 +100,47 @@ func (r *Repository) Apply(p Patch) error {
 		}
 	}
 	r.Revision++
-	r.applied = append(r.applied, p)
+	r.logApplied(p)
 	return nil
+}
+
+// patchRun is one patch-log entry: a patch and how many times in a row
+// it was applied.
+type patchRun struct {
+	patch Patch
+	times int
+}
+
+// logApplied records p in the patch log. A patch identical to the one
+// applied just before it extends that entry rather than adding a copy,
+// so a revision moved by re-applying one patch N times logs one entry.
+func (r *Repository) logApplied(p Patch) {
+	if n := len(r.applied); n > 0 && samePatch(r.applied[n-1].patch, p) {
+		r.applied[n-1].times++
+		return
+	}
+	r.applied = append(r.applied, patchRun{patch: p, times: 1})
+}
+
+// samePatch reports whether two patches make the identical change.
+func samePatch(a, b Patch) bool {
+	return a.ID == b.ID && a.Package == b.Package && a.Unit == b.Unit && a.Note == b.Note &&
+		slices.Equal(a.Remove, b.Remove) && slices.Equal(a.Add, b.Add) &&
+		maps.Equal(a.ReplaceAPIs, b.ReplaceAPIs)
 }
 
 // AppliedPatches returns the patches applied so far, in order.
 func (r *Repository) AppliedPatches() []Patch {
-	out := make([]Patch, len(r.applied))
-	copy(out, r.applied)
+	n := 0
+	for _, run := range r.applied {
+		n += run.times
+	}
+	out := make([]Patch, 0, n)
+	for _, run := range r.applied {
+		for i := 0; i < run.times; i++ {
+			out = append(out, run.patch)
+		}
+	}
 	return out
 }
 

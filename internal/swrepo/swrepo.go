@@ -153,7 +153,7 @@ type Repository struct {
 	Revision int
 
 	packages map[string]*Package
-	applied  []Patch
+	applied  []patchRun // the patch log, in application order
 }
 
 // NewRepository returns an empty repository for the experiment at

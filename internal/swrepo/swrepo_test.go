@@ -149,6 +149,32 @@ func TestPatchApply(t *testing.T) {
 	}
 }
 
+// TestAppliedPatchesKeepsRepeats applies one patch several times in a
+// row around another and checks the log lists every application, in
+// order.
+func TestAppliedPatchesKeepsRepeats(t *testing.T) {
+	r := NewRepository("H1")
+	r.MustAdd(lib("reco"))
+	bump := Patch{ID: "bump", Package: "reco", Unit: "main.cc", Add: []platform.Trait{platform.TraitCxx98}}
+	other := Patch{ID: "other", Package: "reco", Unit: "main.cc", Add: []platform.Trait{platform.TraitCxx98}, Note: "differs"}
+	rev := r.Revision
+	for _, p := range []Patch{bump, bump, other, bump} {
+		if err := r.Apply(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r.Revision != rev+4 {
+		t.Fatalf("revision = %d, want %d", r.Revision, rev+4)
+	}
+	var ids []string
+	for _, p := range r.AppliedPatches() {
+		ids = append(ids, p.ID)
+	}
+	if got := strings.Join(ids, ","); got != "bump,bump,other,bump" {
+		t.Fatalf("AppliedPatches = %s, want bump,bump,other,bump", got)
+	}
+}
+
 func TestPatchErrors(t *testing.T) {
 	r := NewRepository("H1")
 	r.MustAdd(lib("reco"))
