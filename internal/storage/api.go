@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -36,6 +37,30 @@ import (
 //	                       generation + applied journal offset) plus
 //	                       the binding count — what a replica diffs
 //	                       against to decide whether it is behind.
+//	                       The count is read from the backend's map
+//	                       size: no listing, no blob walk.
+//	GET /journal?gen=&from=&limit=   the bindings appended to the name
+//	                       journal after Position (gen, from), in
+//	                       journal order, at most limit of them (the
+//	                       /names bound: default 1000, cap 10000).
+//	                       The reply carries the Position it covers and
+//	                       more:true when further entries follow, so a
+//	                       client far behind asks again from there. A
+//	                       position equal to the store's answers an
+//	                       empty delta without reading the journal.
+//	                       Only acknowledged (writer) or applied (read
+//	                       view) journal bytes are served. The writer
+//	                       keeps the journal its last compaction
+//	                       folded away, so a position one compaction
+//	                       behind is served on into the new generation.
+//	                       A position the store cannot tail from
+//	                       answers 409 position_gone: its generation is
+//	                       gone (compacted twice over on the writer,
+//	                       once under a read view), its offset is past
+//	                       the journal's end or not on an entry
+//	                       boundary, or the store keeps no journal (an
+//	                       in-memory store, a relay over a remote one).
+//	                       The client then re-walks /names.
 //
 // Write routes (PUT /blob/{hash}, POST /name, POST /counter) exist but
 // are disabled unless the serving process configured a shared token;
@@ -52,9 +77,10 @@ import (
 //
 // Every error response is `{"error":{"code":"...","message":"..."}}`
 // with a machine-readable code (bad_request, not_found,
-// method_not_allowed, internal). WriteAPIError is exported so every
-// route a server builds on top of this handler (spserve's matrix, plan
-// and runs routes) answers errors in the same shape.
+// method_not_allowed, position_gone, internal). WriteAPIError is
+// exported so every route a server builds on top of this handler
+// (spserve's matrix, plan and runs routes) answers errors in the same
+// shape.
 
 // APIErrorDoc is the single JSON error envelope of the versioned store
 // API.
@@ -65,7 +91,8 @@ type APIErrorDoc struct {
 // APIErrorInfo is the envelope payload.
 type APIErrorInfo struct {
 	// Code is a stable machine-readable error class: bad_request,
-	// not_found, method_not_allowed or internal.
+	// not_found, method_not_allowed, position_gone or internal (the
+	// write routes add their own, see writeapi.go).
 	Code string `json:"code"`
 	// Message is the human-readable detail.
 	Message string `json:"message"`
@@ -112,9 +139,46 @@ type PositionDoc struct {
 	Bindings int `json:"bindings"`
 }
 
-// Paging bounds for /names and /blobs: the default page, and the hard
-// cap a client-supplied limit is clamped to. A sync client pages with
-// the cap; no single request materializes an unbounded listing.
+// JournalDoc is the /journal response: a delta of the store's name
+// journal.
+type JournalDoc struct {
+	// Bindings are the entries appended after the requested position,
+	// in journal order; a name can appear more than once, and the last
+	// entry wins.
+	Bindings []BindingDoc `json:"bindings"`
+	// Position is the position the reply covers: the requested one,
+	// advanced past the last entry carried.
+	Position Position `json:"position"`
+	// More reports that further entries follow Position.
+	More bool `json:"more,omitempty"`
+}
+
+// JournalReader is implemented by backends that can serve their name
+// journal from a Position: the on-disk writer and read view, both from
+// names.log. The /journal route serves from it.
+type JournalReader interface {
+	// ReadJournal returns up to limit entries appended after from, or
+	// an error wrapping ErrPositionGone when from is not a point of the
+	// backend's current journal history.
+	ReadJournal(from Position, limit int) (JournalDoc, error)
+}
+
+// ErrPositionGone is wrapped by a ReadJournal error for a position the
+// backend cannot tail from. The /journal route answers it with 409
+// position_gone, and a remote view, receiving that, falls back to
+// walking /names.
+var ErrPositionGone = errors.New("journal position gone")
+
+// nameCounter is implemented by backends that can count their bindings
+// without listing them.
+type nameCounter interface {
+	NameCount() int
+}
+
+// Paging bounds for /names, /blobs and /journal: the default page, and
+// the hard cap a client-supplied limit is clamped to. A sync client
+// pages with the cap; no single request materializes an unbounded
+// listing.
 const (
 	DefaultPageLimit = 1000
 	MaxPageLimit     = 10000
@@ -261,8 +325,8 @@ func (h *APIHandler) EnableWrites(token string) *APIHandler {
 }
 
 // ServeHTTP routes the store-level API paths. The mount point has been
-// stripped by the caller: paths arrive as /blob/{hash}, /names, /blobs
-// and /position.
+// stripped by the caller: paths arrive as /blob/{hash}, /names, /blobs,
+// /position and /journal.
 func (h *APIHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if h.refresh != nil {
 		h.refresh()
@@ -276,6 +340,8 @@ func (h *APIHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		h.serveBlobs(w, r)
 	case r.URL.Path == "/position":
 		h.servePosition(w, r)
+	case r.URL.Path == "/journal":
+		h.serveJournal(w, r)
 	case r.URL.Path == "/name":
 		h.serveNameWrite(w, r)
 	case r.URL.Path == "/counter":
@@ -488,10 +554,56 @@ func (h *APIHandler) servePosition(w http.ResponseWriter, r *http.Request) {
 	if answerNotModified(w, r, core) {
 		return
 	}
-	names, err := h.store.Backend().ListNames()
-	if err != nil {
-		WriteAPIError(w, http.StatusInternalServerError, "internal", err.Error())
+	doc := PositionDoc{Position: pos, PositionOK: posOK}
+	if c, ok := h.store.Backend().(nameCounter); ok {
+		doc.Bindings = c.NameCount()
+	} else {
+		names, err := h.store.Backend().ListNames()
+		if err != nil {
+			WriteAPIError(w, http.StatusInternalServerError, "internal", err.Error())
+			return
+		}
+		doc.Bindings = len(names)
+	}
+	writeNegotiatedJSON(w, r, doc, core)
+}
+
+// serveJournal answers the journal delta after the position named by
+// ?gen=&from= (see the route table). The store's own position is
+// checked first: a caught-up client, the steady state of a polling
+// remote view, costs no journal read at all.
+func (h *APIHandler) serveJournal(w http.ResponseWriter, r *http.Request) {
+	if !requireGet(w, r) {
 		return
 	}
-	writeNegotiatedJSON(w, r, PositionDoc{Position: pos, PositionOK: posOK, Bindings: len(names)}, core)
+	q := r.URL.Query()
+	gen, gerr := strconv.Atoi(q.Get("gen"))
+	off, oerr := strconv.ParseInt(q.Get("from"), 10, 64)
+	if gerr != nil || oerr != nil || gen < 0 || off < 0 {
+		WriteAPIError(w, http.StatusBadRequest, "bad_request",
+			"gen and from must be non-negative integers naming a store position")
+		return
+	}
+	_, limit := ParsePageQuery(r)
+	from := Position{Generation: gen, Offset: off}
+	pos, posOK := h.store.Position()
+	if posOK && pos == from {
+		writeNegotiatedJSON(w, r, JournalDoc{Bindings: []BindingDoc{}, Position: pos}, "")
+		return
+	}
+	jr, ok := h.store.Backend().(JournalReader)
+	if !ok || !posOK {
+		WriteAPIError(w, http.StatusConflict, "position_gone",
+			"this store keeps no journal to tail; walk /names")
+		return
+	}
+	doc, err := jr.ReadJournal(from, limit)
+	switch {
+	case errors.Is(err, ErrPositionGone):
+		WriteAPIError(w, http.StatusConflict, "position_gone", err.Error()+"; walk /names")
+	case err != nil:
+		WriteAPIError(w, http.StatusInternalServerError, "internal", err.Error())
+	default:
+		writeNegotiatedJSON(w, r, doc, "")
+	}
 }

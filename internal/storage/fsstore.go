@@ -93,8 +93,9 @@ type FSBackend struct {
 	logFailed bool              // guarded by mu; a journal append failed; the tail may be torn
 
 	// Snapshot / compaction state.
-	gen        int   // guarded by mu; generation of the snapshot this state is built on (0: none)
-	journalEnd int64 // guarded by mu; acknowledged bytes in the live journal tail
+	gen        int    // guarded by mu; generation of the snapshot this state is built on (0: none)
+	journalEnd int64  // guarded by mu; acknowledged bytes in the live journal tail
+	compacted  []byte // guarded by mu; journal of generation gen-1, folded away by this handle's last Compact (nil: none); immutable once set
 
 	// Group-commit state (see appendLocked).
 	gcBuf      []byte // guarded by mu
@@ -240,12 +241,14 @@ func (b *FSBackend) blobPath(hash string) string {
 // revisits it on its next Refresh. Malformed content *followed by*
 // further entries is real corruption and is returned as an error. This
 // single scanner backs both the writer's replay and the read view's
-// re-tail, so the two sides can never drift on what counts as a valid
-// entry.
-func scanJournal(r io.Reader, startOffset int64, apply func(name, hash string)) (validEnd, end int64, err error) {
+// re-tail and the store API's journal route, so none of them can drift
+// on what counts as a valid entry. A positive limit stops the scan once
+// that many entries have been applied; 0 scans to EOF.
+func scanJournal(r io.Reader, startOffset int64, limit int, apply func(name, hash string)) (validEnd, end int64, err error) {
 	br := bufio.NewReader(r)
 	validEnd, end = startOffset, startOffset
 	var pendingErr error
+	applied := 0
 	for {
 		raw, rerr := br.ReadBytes('\n')
 		if len(raw) > 0 {
@@ -266,6 +269,9 @@ func scanJournal(r io.Reader, startOffset int64, apply func(name, hash string)) 
 				}
 				apply(name, hash)
 				validEnd = end
+				if applied++; limit > 0 && applied >= limit {
+					return validEnd, end, nil
+				}
 			}
 		}
 		if rerr == io.EOF {
@@ -275,6 +281,115 @@ func scanJournal(r io.Reader, startOffset int64, apply func(name, hash string)) 
 			return validEnd, end, fmt.Errorf("storage: reading name journal: %w", rerr)
 		}
 	}
+}
+
+// ReadJournal implements JournalReader from names.log. Only
+// acknowledged bytes are served (up to journalEnd, sampled with the
+// generation). The file is read outside b.mu, so appends proceed; a
+// Compact bumps the generation, under b.mu, before it truncates the
+// journal, so a generation still unchanged after the read proves the
+// bytes read were this generation's. A position one compaction behind
+// is served from the journal that compaction folded away (kept in
+// memory, see Compact): the rest of that generation, then the current
+// one from its start, where its snapshot stands.
+func (b *FSBackend) ReadJournal(from Position, limit int) (JournalDoc, error) {
+	b.mu.RLock()
+	gen, end, compacted := b.gen, b.journalEnd, b.compacted
+	b.mu.RUnlock()
+	stillGen := func() bool {
+		b.mu.RLock()
+		defer b.mu.RUnlock()
+		return b.gen == gen
+	}
+	if compacted == nil || from.Generation != gen-1 {
+		return readJournal(b.journalPath(), nil, gen, end, from, limit, stillGen)
+	}
+	old := JournalDoc{Bindings: []BindingDoc{}, Position: from}
+	if err := journalDelta(bytes.NewReader(compacted), int64(len(compacted)), limit, &old); err != nil {
+		return JournalDoc{}, err
+	}
+	if old.More {
+		return old, nil
+	}
+	doc, err := readJournal(b.journalPath(), nil, gen, end, Position{Generation: gen}, limit-len(old.Bindings), stillGen)
+	if err != nil {
+		return JournalDoc{}, err
+	}
+	doc.Bindings = append(old.Bindings, doc.Bindings...)
+	return doc, nil
+}
+
+// readJournal serves a JournalReader from the journal at path, whose
+// history is generation gen up to byte offset end: the caller passes
+// the end of the content it has acknowledged (the writer) or applied
+// (the read view), so bytes still in flight are never served. It
+// returns up to limit entries after from. The read is refused with
+// ErrPositionGone for another generation, a file that is not want
+// (nil: no identity check), a stillGen re-check after the read that
+// reports a compaction, or any refusal of journalDelta.
+func readJournal(path string, want os.FileInfo, gen int, end int64, from Position, limit int, stillGen func() bool) (JournalDoc, error) {
+	if from.Generation != gen {
+		return JournalDoc{}, fmt.Errorf("%w: generation %d is not the current %d", ErrPositionGone, from.Generation, gen)
+	}
+	doc := JournalDoc{Bindings: []BindingDoc{}, Position: from}
+	if from.Offset == end {
+		return doc, nil
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return JournalDoc{}, fmt.Errorf("storage: opening name journal: %w", err)
+	}
+	defer f.Close()
+	if want != nil {
+		fi, err := f.Stat()
+		if err != nil {
+			return JournalDoc{}, fmt.Errorf("storage: reading name journal: %w", err)
+		}
+		if !os.SameFile(want, fi) {
+			return JournalDoc{}, fmt.Errorf("%w: the journal was replaced", ErrPositionGone)
+		}
+	}
+	if err := journalDelta(f, end, limit, &doc); err != nil {
+		return JournalDoc{}, err
+	}
+	if !stillGen() {
+		return JournalDoc{}, fmt.Errorf("%w: generation %d was compacted during the read", ErrPositionGone, gen)
+	}
+	return doc, nil
+}
+
+// journalDelta appends to doc the entries of the journal content r
+// holds between doc.Position.Offset and end, parsed by scanJournal,
+// until doc carries limit entries; it moves doc.Position.Offset past
+// the last entry appended and sets doc.More when entries remain. The
+// position is refused with ErrPositionGone when it is not a line
+// boundary of this content: an offset past end, a byte before it that
+// is not a newline, or bytes that do not parse up to end.
+func journalDelta(r io.ReaderAt, end int64, limit int, doc *JournalDoc) error {
+	from := doc.Position.Offset
+	switch {
+	case from > end:
+		return fmt.Errorf("%w: offset %d is past the journal's end %d", ErrPositionGone, from, end)
+	case from == end || len(doc.Bindings) >= limit:
+		doc.More = from < end
+		return nil
+	case from > 0:
+		var prev [1]byte
+		if _, err := r.ReadAt(prev[:], from-1); err != nil || prev[0] != '\n' {
+			return fmt.Errorf("%w: offset %d is not an entry boundary", ErrPositionGone, from)
+		}
+	}
+	next, _, err := scanJournal(io.NewSectionReader(r, from, end-from), from, limit-len(doc.Bindings), func(name, hash string) {
+		doc.Bindings = append(doc.Bindings, BindingDoc{Name: name, Hash: hash})
+	})
+	if err != nil || (next < end && len(doc.Bindings) < limit) {
+		// Within acknowledged bytes every line is whole and well formed,
+		// so a parse failure or a short scan means the bytes are not the
+		// history the position names.
+		return fmt.Errorf("%w: journal content at offset %d does not parse", ErrPositionGone, from)
+	}
+	doc.Position.Offset, doc.More = next, next < end
+	return nil
 }
 
 // replayJournal loads names.log into memory (on top of whatever the
@@ -308,7 +423,7 @@ func (b *FSBackend) replayJournal() (err error) {
 			err = fmt.Errorf("storage: closing name journal: %w", cerr)
 		}
 	}()
-	validEnd, end, err := scanJournal(f, 0, func(name, hash string) { b.names[name] = hash })
+	validEnd, end, err := scanJournal(f, 0, 0, func(name, hash string) { b.names[name] = hash })
 	if err != nil {
 		return err
 	}
@@ -746,6 +861,13 @@ func (b *FSBackend) ListNames() ([]string, error) {
 	return out, nil
 }
 
+// NameCount returns the number of bound names without listing them.
+func (b *FSBackend) NameCount() int {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return len(b.names)
+}
+
 // Increment performs the counter read-modify-write under the name lock,
 // so concurrent increments from any number of goroutines sharing the
 // backend hand out strictly unique values. The current value is cached
@@ -958,7 +1080,7 @@ func (b *FSBackend) Compact() (CompactStats, error) {
 	// generation G+1 even if a later step fails — otherwise a repeated
 	// compaction could reuse the on-disk generation number for different
 	// content and defeat the readers' staleness check.
-	b.gen = hdr.Generation
+	b.gen, b.compacted = hdr.Generation, nil
 	if err := b.syncDir(b.dir); err != nil {
 		return stats, err
 	}
@@ -966,7 +1088,14 @@ func (b *FSBackend) Compact() (CompactStats, error) {
 		return stats, err
 	}
 
-	// Step 3: drop the journal content the snapshot now covers.
+	// Step 3: drop the journal content the snapshot now covers, keeping
+	// a copy in memory so ReadJournal can still serve a remote view one
+	// compaction behind without a full walk. Reading it back is an
+	// optimization: if the read fails, such a view walks.
+	compacted, err := os.ReadFile(b.journalPath())
+	if err != nil || int64(len(compacted)) != b.journalEnd {
+		compacted = nil
+	}
 	if err := b.log.Truncate(0); err != nil {
 		// The on-disk state is consistent (snapshot + covered journal),
 		// but this handle's view of the journal is now unreliable:
@@ -980,7 +1109,7 @@ func (b *FSBackend) Compact() (CompactStats, error) {
 			return stats, fmt.Errorf("storage: syncing truncated journal: %w", err)
 		}
 	}
-	b.journalEnd = 0
+	b.journalEnd, b.compacted = 0, compacted
 	return stats, nil
 }
 

@@ -106,6 +106,13 @@ func (m *MemoryBackend) ListNames() ([]string, error) {
 	return out, nil
 }
 
+// NameCount returns the number of bound names without listing them.
+func (m *MemoryBackend) NameCount() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return len(m.names)
+}
+
 // Increment atomically increments the counter bound to the name. The
 // counter blob is tiny, so hashing it under the lock — unavoidable for
 // atomicity of the read-modify-write — costs nothing measurable.

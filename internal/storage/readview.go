@@ -221,7 +221,7 @@ func (b *FSReadBackend) reloadLocked() error {
 				return fmt.Errorf("storage: reading name journal: %w", statErr)
 			}
 			journal = fi
-			end, _, scanErr := scanJournal(f, 0, func(name, hash string) { names[name] = hash })
+			end, _, scanErr := scanJournal(f, 0, 0, func(name, hash string) { names[name] = hash })
 			f.Close()
 			if scanErr != nil {
 				// Mid-file corruption — or a compaction truncated the
@@ -257,7 +257,7 @@ func (b *FSReadBackend) tailFrom(f *os.File, offset int64, names map[string]stri
 	if _, err := f.Seek(offset, io.SeekStart); err != nil {
 		return fmt.Errorf("storage: seeking name journal: %w", err)
 	}
-	validEnd, _, err := scanJournal(f, offset, func(name, hash string) { names[name] = hash })
+	validEnd, _, err := scanJournal(f, offset, 0, func(name, hash string) { names[name] = hash })
 	b.validEnd = validEnd
 	return err
 }
@@ -292,6 +292,32 @@ func (b *FSReadBackend) ListNames() ([]string, error) {
 	b.mu.RUnlock()
 	sort.Strings(out)
 	return out, nil
+}
+
+// NameCount returns the number of names bound as of the last Refresh.
+func (b *FSReadBackend) NameCount() int {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return len(b.names)
+}
+
+// ReadJournal implements JournalReader from names.log, up to the
+// offset the view has applied: a client of the view never gets ahead
+// of the view's own /names and /position. The writer is another
+// process, so the guards are the ones Refresh relies on: the file must
+// still be the journal last tailed, and the snapshot generation on disk
+// must be unchanged after the read (a compaction renames its snapshot
+// into place before it truncates the journal). A journal re-created
+// with the old inode and grown past the offset passes both; only the
+// line-boundary and parse checks catch it, as they do for Refresh.
+func (b *FSReadBackend) ReadJournal(from Position, limit int) (JournalDoc, error) {
+	b.mu.RLock()
+	gen, end, journal := b.gen, b.validEnd, b.journal
+	b.mu.RUnlock()
+	return readJournal(b.journalPath(), journal, gen, end, from, limit, func() bool {
+		g, err := readSnapshotGeneration(b.dir)
+		return err == nil && g == gen
+	})
 }
 
 // PutBlob fails: the view is read-only.

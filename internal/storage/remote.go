@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -26,9 +27,16 @@ import (
 //
 // Semantics mirror FSReadBackend deliberately:
 //
-//   - Name state is a local mirror refreshed on demand: Refresh probes
-//     /position (one tiny GET) and re-walks the paged /names listing
-//     only when the remote position moved. Between refreshes,
+//   - Name state is a local mirror refreshed on demand. Like the read
+//     view's re-tail of names.log, Refresh tails the primary's journal
+//     from the position the mirror covers: one GET of /journal, which
+//     carries the bindings appended since then (an empty delta when
+//     nothing changed), applied to the mirror in place. So a refresh
+//     costs O(new bindings), not O(archive), and a writer primary
+//     serves it across its own last compaction too. Only when the
+//     primary cannot serve that position (its generation is gone, or
+//     the store keeps no journal) does Refresh re-walk the paged
+//     /names listing and replace the mirror whole. Between refreshes,
 //     ResolveName/ListNames answer from memory at zero network cost.
 //   - Every blob read is re-verified against its hash after transfer —
 //     the read-time verification the on-disk backends perform, applied
@@ -40,13 +48,15 @@ import (
 //     flock-holding primary's journal — how `spd -worker -store
 //     http://primary/` executes cells with no local copy. Successful
 //     writes update the local name mirror immediately, so a worker
-//     reads its own writes without a Refresh round trip.
+//     reads its own writes without a Refresh round trip, and a Refresh
+//     running meanwhile re-applies them after its delta or walk, so it
+//     never rolls them back.
 //
 // Like the read view's journal tailing, a names walk under a live
-// writer can only under-claim: the position is sampled before the walk
-// and names are never deleted, so the mirror always holds at least the
-// sampled position's bindings; anything newer is picked up by the next
-// Refresh.
+// writer can only under-claim: the position is taken from the first
+// page, sampled before that page was listed, and names are never
+// deleted, so the mirror always holds at least that position's
+// bindings; anything newer is picked up by the next Refresh.
 //
 // Transient transport failures and 5xx responses are retried with
 // exponential backoff (the sleep function is a cron.Sleeper seam, so
@@ -60,10 +70,16 @@ type RemoteBackend struct {
 	sleep   func(time.Duration)
 	token   string // shared write token; "" = read-only view
 
-	mu    sync.RWMutex
-	names map[string]string // guarded by mu; mirror of the remote bindings
-	pos   Position          // guarded by mu; remote position the mirror covers
-	posOK bool              // guarded by mu
+	// refreshMu serializes Refresh calls: two concurrent refreshes would
+	// fetch the same delta, and the one finishing last could set an
+	// older position.
+	refreshMu sync.Mutex
+
+	mu      sync.RWMutex
+	names   map[string]string // guarded by mu; mirror of the remote bindings
+	pos     Position          // guarded by mu; remote position the mirror covers
+	posOK   bool              // guarded by mu
+	written map[string]string // guarded by mu; this backend's writes since the running Refresh began (nil: none running)
 }
 
 // RemoteOptions configures OpenRemoteWith.
@@ -275,33 +291,106 @@ func (b *RemoteBackend) RemotePosition() (PositionDoc, error) {
 	return doc, nil
 }
 
-// namesPageLimit is the page size of Refresh's walk over /names. Both
-// ends hold a whole page at once (marshalled and gzipped by the server,
-// read and decoded by the client) on top of the name mirror, so the page
-// size bounds the walk's transient memory.
+// namesPageLimit is the page size of Refresh's requests, /journal
+// deltas and /names walks alike. Both ends hold a whole page at once
+// (marshalled and gzipped by the server, read and decoded by the
+// client) on top of the name mirror, so the page size bounds a
+// refresh's transient memory.
 const namesPageLimit = 5000
 
-// Refresh catches the name mirror up with the remote store. The cheap
-// steady-state path is one /position GET; only when the remote position
-// moved (or the remote has no positional history to compare) is the
-// paged /names listing re-walked. Mirrors (*FSReadBackend).Refresh.
+// Refresh catches the name mirror up with the remote store. The
+// steady-state path is one /journal GET from the position the mirror
+// covers, whose delta (empty when nothing changed) is applied in place;
+// see tail. The full /names walk runs only at open, when the remote has
+// no positional history, or when the primary answers that it cannot
+// serve the position. Mirrors (*FSReadBackend).Refresh. Writes this
+// backend makes while a Refresh runs survive it.
 func (b *RemoteBackend) Refresh() error {
-	doc, err := b.RemotePosition()
-	if err != nil {
-		return err
+	b.refreshMu.Lock()
+	defer b.refreshMu.Unlock()
+	b.mu.Lock()
+	from, tail := b.pos, b.posOK
+	b.written = make(map[string]string)
+	b.mu.Unlock()
+	defer func() {
+		b.mu.Lock()
+		b.written = nil
+		b.mu.Unlock()
+	}()
+	if tail {
+		if err := b.tail(from); !errors.Is(err, ErrPositionGone) {
+			return err
+		}
 	}
-	b.mu.RLock()
-	unchanged := doc.PositionOK && b.posOK && doc.Position == b.pos && len(b.names) > 0
-	b.mu.RUnlock()
-	if unchanged {
-		return nil
-	}
-	// The position was sampled before the walk, so the mirror can only
-	// under-claim coverage — a binding recorded mid-walk is either
-	// listed now or picked up by the next Refresh.
-	names := make(map[string]string)
-	after := ""
+	return b.walk()
+}
+
+// tail applies the primary's journal after from to the mirror, one
+// /journal page at a time, until a page reports no more entries. Each
+// page moves the mirror to the position it covers, so an error midway
+// leaves a mirror that is behind, never inconsistent. A 409 reply, the
+// primary's answer for a position it cannot tail from, is
+// ErrPositionGone.
+func (b *RemoteBackend) tail(from Position) error {
 	for {
+		q := url.Values{
+			"gen":   {strconv.Itoa(from.Generation)},
+			"from":  {strconv.FormatInt(from.Offset, 10)},
+			"limit": {strconv.Itoa(namesPageLimit)},
+		}
+		status, body, err := b.get(http.MethodGet, b.apiURL("/journal", q))
+		if status == http.StatusConflict {
+			return ErrPositionGone
+		}
+		if err != nil {
+			return err
+		}
+		var doc JournalDoc
+		if err := json.Unmarshal(body, &doc); err != nil {
+			return fmt.Errorf("storage: remote store %s: malformed API response: %w", b.base, err)
+		}
+		// A reply never moves back, and one that carries entries (or
+		// promises more) moves forward. It can move into a later
+		// generation: a primary serves a position one compaction behind
+		// up to the snapshot that compaction wrote, then on.
+		to := doc.Position
+		back := to.Generation < from.Generation || (to.Generation == from.Generation && to.Offset < from.Offset)
+		if back || (to == from && (len(doc.Bindings) > 0 || doc.More)) {
+			return fmt.Errorf("storage: remote store %s served a malformed journal delta: %d entries from %+v to %+v",
+				b.base, len(doc.Bindings), from, to)
+		}
+		if to == from {
+			return nil
+		}
+		for _, bind := range doc.Bindings {
+			if err := b.checkBinding(bind); err != nil {
+				return err
+			}
+		}
+		b.mu.Lock()
+		for _, bind := range doc.Bindings {
+			b.names[bind.Name] = bind.Hash
+		}
+		b.keepWrittenLocked()
+		b.pos = to
+		b.mu.Unlock()
+		if !doc.More {
+			return nil
+		}
+		from = to
+	}
+}
+
+// walk rebuilds the mirror from the paged /names listing and replaces
+// it whole, so a store replaced behind the same URL is dropped whole.
+// The mirror's position is the first page's, sampled before any name
+// was listed: the mirror can only under-claim it.
+func (b *RemoteBackend) walk() error {
+	names := make(map[string]string)
+	var pos Position
+	posOK := false
+	after := ""
+	for first := true; ; first = false {
 		q := url.Values{"limit": {fmt.Sprint(namesPageLimit)}}
 		if after != "" {
 			q.Set("after", after)
@@ -310,9 +399,12 @@ func (b *RemoteBackend) Refresh() error {
 		if err := b.getJSON(b.apiURL("/names", q), &page); err != nil {
 			return err
 		}
+		if first {
+			pos, posOK = page.Position, page.PositionOK
+		}
 		for _, bind := range page.Bindings {
-			if !validName(bind.Name) || !ValidBlobHash(bind.Hash) {
-				return fmt.Errorf("storage: remote store %s served malformed binding %q -> %q", b.base, bind.Name, bind.Hash)
+			if err := b.checkBinding(bind); err != nil {
+				return err
 			}
 			names[bind.Name] = bind.Hash
 		}
@@ -322,9 +414,39 @@ func (b *RemoteBackend) Refresh() error {
 		after = page.NextAfter
 	}
 	b.mu.Lock()
-	b.names, b.pos, b.posOK = names, doc.Position, doc.PositionOK
+	b.names, b.pos, b.posOK = names, pos, posOK
+	b.keepWrittenLocked()
 	b.mu.Unlock()
 	return nil
+}
+
+// checkBinding is the check every binding the primary serves passes
+// before it enters the mirror, whichever route carried it.
+func (b *RemoteBackend) checkBinding(bind BindingDoc) error {
+	if !validName(bind.Name) || !ValidBlobHash(bind.Hash) {
+		return fmt.Errorf("storage: remote store %s served malformed binding %q -> %q", b.base, bind.Name, bind.Hash)
+	}
+	return nil
+}
+
+// keepWrittenLocked re-applies the writes this backend made since the
+// running Refresh began. The delta or listing just applied was served
+// before some of them landed on the primary and can carry an older
+// binding of the same name; without this, a worker's mirror would lose
+// its own run records and leases. The caller holds b.mu.
+func (b *RemoteBackend) keepWrittenLocked() {
+	for name, hash := range b.written {
+		b.names[name] = hash
+	}
+}
+
+// mirrorWriteLocked mirrors a write this backend made on the primary.
+// The caller holds b.mu.
+func (b *RemoteBackend) mirrorWriteLocked(name, hash string) {
+	b.names[name] = hash
+	if b.written != nil {
+		b.written[name] = hash
+	}
 }
 
 // GetBlob fetches the content and re-verifies it against its hash, so
@@ -415,6 +537,13 @@ func (b *RemoteBackend) ListNames() ([]string, error) {
 	return out, nil
 }
 
+// NameCount returns the number of mirrored names.
+func (b *RemoteBackend) NameCount() int {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return len(b.names)
+}
+
 // Writable reports whether the backend was opened with a write token.
 func (b *RemoteBackend) Writable() bool { return b.token != "" }
 
@@ -459,7 +588,7 @@ func (b *RemoteBackend) BindName(name, hash string) error {
 		return fmt.Errorf("storage: remote BindName %s: %w", name, err)
 	}
 	b.mu.Lock()
-	b.names[name] = hash
+	b.mirrorWriteLocked(name, hash)
 	b.mu.Unlock()
 	return nil
 }
@@ -478,7 +607,7 @@ func (b *RemoteBackend) CompareAndSwapName(name, oldHash, newHash string) (bool,
 	}
 	if doc.Swapped {
 		b.mu.Lock()
-		b.names[name] = newHash
+		b.mirrorWriteLocked(name, newHash)
 		b.mu.Unlock()
 	}
 	return doc.Swapped, nil
@@ -497,7 +626,7 @@ func (b *RemoteBackend) Increment(name string) (int, error) {
 	}
 	if ValidBlobHash(doc.Hash) {
 		b.mu.Lock()
-		b.names[name] = doc.Hash
+		b.mirrorWriteLocked(name, doc.Hash)
 		b.mu.Unlock()
 	}
 	return doc.Value, nil
