@@ -7,6 +7,7 @@
 package repro
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"path/filepath"
@@ -56,6 +57,22 @@ func mustStdSet(b *testing.B, sys *core.SPSystem) *externals.Set {
 		b.Fatal(err)
 	}
 	return exts
+}
+
+// mustRunForced executes every cell regardless of recorded state on
+// the given number of engine workers.
+func mustRunForced(b *testing.B, sys *core.SPSystem, workers int, cells []campaign.Cell) *campaign.Summary {
+	b.Helper()
+	eng := campaign.New(sys, workers)
+	plan, err := eng.ForcePlan(cells)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sum, err := eng.RunPlanContext(context.Background(), plan)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sum
 }
 
 // ---------------------------------------------------------------------
@@ -180,10 +197,7 @@ func BenchmarkFigure3HERAMatrix(b *testing.B) {
 		// engine the way the sp-system's many clients worked the matrix.
 		plan := campaign.MatrixPlan(sys.Experiments(), platform.OriginalConfig(),
 			platform.PaperConfigs(), []*externals.Set{exts})
-		sum, err := campaign.New(sys, runtime.NumCPU()).Run(plan)
-		if err != nil {
-			b.Fatal(err)
-		}
+		sum := mustRunForced(b, sys, runtime.NumCPU(), plan)
 		for _, o := range sum.Outcomes {
 			if o.Err != nil {
 				b.Fatalf("%s %v: %v", o.Cell.Experiment, o.Cell.Config, o.Err)
@@ -254,10 +268,7 @@ func BenchmarkCampaignParallelMatrix(b *testing.B) {
 			exts := mustStdSet(b, sys)
 			plan := campaign.MatrixPlan(sys.Experiments(), platform.OriginalConfig(),
 				platform.PaperConfigs(), []*externals.Set{exts})
-			sum, err := campaign.New(sys, workers).Run(plan)
-			if err != nil {
-				b.Fatal(err)
-			}
+			sum := mustRunForced(b, sys, workers, plan)
 			for _, o := range sum.Outcomes {
 				if o.Err != nil {
 					b.Fatalf("%s %v: %v", o.Cell.Experiment, o.Cell.Config, o.Err)
@@ -315,10 +326,7 @@ func BenchmarkStoreBackends(b *testing.B) {
 			exts := mustStdSet(b, sys)
 			plan := campaign.MatrixPlan(sys.Experiments(), platform.OriginalConfig(),
 				platform.PaperConfigs(), []*externals.Set{exts})
-			sum, err := campaign.New(sys, runtime.NumCPU()).Run(plan)
-			if err != nil {
-				b.Fatal(err)
-			}
+			sum := mustRunForced(b, sys, runtime.NumCPU(), plan)
 			for _, o := range sum.Outcomes {
 				if o.Err != nil {
 					b.Fatalf("%s %v: %v", o.Cell.Experiment, o.Cell.Config, o.Err)
@@ -407,7 +415,7 @@ func BenchmarkIncrementalCampaign(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sum, err := eng.RunPlan(plan)
+		sum, err := eng.RunPlanContext(context.Background(), plan)
 		if err != nil {
 			b.Fatal(err)
 		}

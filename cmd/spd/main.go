@@ -40,10 +40,13 @@
 // the lease queue (internal/campaign.DrainPlan), claiming stale cells
 // one at a time so every cell executes on exactly one machine. With
 // -listen set the primary drains through the same queue, making it one
-// more worker. A worker that crashes mid-cell simply stops renewing
-// its lease; after the lease TTL (-lease-ttl) any peer steals the cell
-// and re-executes it. On SIGTERM a worker finishes executing cells,
-// completes their leases, and releases any claims it had not started.
+// more worker. Either way a cycle runs the one campaign scheduler
+// (DESIGN.md "Scheduler"); only its claim policy differs, local without
+// -listen or -worker and lease with them. A worker that crashes
+// mid-cell simply stops renewing its lease; after the lease TTL
+// (-lease-ttl) any peer steals the cell and re-executes it. On SIGTERM
+// a worker finishes executing cells, completes their leases, and
+// releases any claims it had not started.
 // Workers skip the publish/compaction tail — site publishing and store
 // maintenance stay the primary's job.
 //
@@ -68,8 +71,9 @@
 // change) no matter how long the daemon has been feeding the archive.
 //
 // On SIGTERM or SIGINT the daemon shuts down cleanly: cells already
-// executing finish and are recorded, no new cell starts, the store's
-// journal is synced by Close and the exclusive writer lock is released.
+// executing finish and are recorded, no new cell starts (the
+// scheduler's cancellation contract), the store's journal is synced by
+// Close and the exclusive writer lock is released.
 // Exit code 0 means the store is consistent and immediately reusable.
 package main
 

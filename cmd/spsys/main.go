@@ -46,6 +46,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -259,7 +260,7 @@ func runCampaign(args []string) (err error) {
 	}
 	fmt.Printf("campaign: %d cells (%d to run, %d up-to-date) on %d workers\n",
 		len(plan.Cells), plan.RunCount(), plan.SkipCount(), *workers)
-	sum, err := eng.RunPlan(plan)
+	sum, err := eng.RunPlanContext(context.Background(), plan)
 	if err != nil {
 		return err
 	}

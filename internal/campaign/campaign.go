@@ -6,11 +6,14 @@
 // client machines working the matrix at once against one common storage,
 // not one client grinding through it serially.
 //
-// # Worker-pool design
+// # Scheduling
 //
-// Every cell becomes one job. Jobs start in submission order, run on at
-// most Workers goroutines, and publish their outcome at their cell's
-// index, so results are deterministic regardless of scheduling.
+// One scheduler (queue.go; DESIGN.md "Scheduler") runs every campaign:
+// at most Workers goroutines each claim the lowest pending cell whose
+// barriers are done, and every outcome lands at its cell's index, so
+// results are deterministic regardless of scheduling. RunPlanContext
+// claims locally; DrainPlan claims through cell leases shared with
+// other workers.
 //
 // Cells of *different* experiments never share mutable state — the
 // store, runner, builder and clock are all thread-safe — so they run
@@ -37,9 +40,7 @@
 package campaign
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/bookkeep"
 	"repro/internal/core"
@@ -116,8 +117,7 @@ type Outcome struct {
 type Summary struct {
 	// Outcomes holds one entry per submitted cell, in submission order.
 	Outcomes []Outcome
-	// Plan is the executed plan (every cell forced to run for plain
-	// Run).
+	// Plan is the executed plan.
 	Plan *Plan
 	// Matrix is the bookkeeping status matrix after the campaign — the
 	// paper's Figure 3 aggregation over the common storage.
@@ -171,144 +171,26 @@ func New(sys *core.SPSystem, workers int) *Engine {
 	return &Engine{sys: sys, Workers: workers}
 }
 
-// ForceAll wraps cells in an execute-everything plan: every cell is
-// DecisionRun regardless of recorded state. This is the pre-planner
-// behaviour, kept for benchmarks, ablations and operator overrides.
-// Digests are filled at execution time; callers that record the plan
-// should prefer Engine.ForcePlan, which carries them immediately.
-func ForceAll(cells []Cell) *Plan {
-	p := &Plan{Cells: make([]PlannedCell, len(cells))}
-	for i, c := range cells {
-		p.Cells[i] = PlannedCell{Cell: c, Decision: DecisionRun, Reason: "forced"}
-	}
-	return p
-}
-
-// ForcePlan is ForceAll with every cell's campaign-entry input digest
-// filled from the engine's system — the operator-override plan with
-// full provenance, without the recorded-state index build Plan pays.
+// ForcePlan wraps cells in an execute-everything plan: every cell is
+// DecisionRun regardless of recorded state, with its campaign-entry
+// input digest filled from the engine's system. This is the
+// pre-planner behaviour with full provenance, kept for benchmarks,
+// ablations and operator overrides (`spsys campaign -force`), without
+// the recorded-state index build Plan pays.
 func (e *Engine) ForcePlan(cells []Cell) (*Plan, error) {
 	if e.sys == nil {
 		return nil, fmt.Errorf("campaign: engine has no system")
 	}
-	p := ForceAll(cells)
-	e.fillDigests(p)
-	return p, nil
-}
-
-// fillDigests computes the missing input digests of a plan's cells at
-// the current (campaign-entry) repository state. Cells whose
-// experiment is not registered keep an empty digest; the executor
-// produces their error outcome.
-func (e *Engine) fillDigests(plan *Plan) {
-	for i := range plan.Cells {
-		pc := &plan.Cells[i]
-		if pc.Digest == "" {
-			if d, err := e.sys.CellDigestDriver(pc.Cell.Experiment, pc.Cell.Config, pc.Cell.Externals, pc.Cell.Driver); err == nil {
-				pc.Digest = d
-			}
+	p := &Plan{Cells: make([]PlannedCell, len(cells))}
+	for i, c := range cells {
+		p.Cells[i] = PlannedCell{Cell: c, Decision: DecisionRun, Reason: "forced"}
+		// A cell whose experiment is not registered keeps an empty
+		// digest; the executor produces its error outcome.
+		if d, err := e.sys.CellDigestDriver(c.Experiment, c.Config, c.Externals, c.Driver); err == nil {
+			p.Cells[i].Digest = d
 		}
 	}
-}
-
-// Run executes every cell unconditionally and returns the aggregated
-// summary — ForceAll followed by RunPlan. Cell failures are reported
-// per-outcome, not as an error: a broken cell is a meaningful campaign
-// result. The returned error covers only systemic problems (no system,
-// or the final matrix aggregation failing).
-func (e *Engine) Run(cells []Cell) (*Summary, error) {
-	return e.RunPlan(ForceAll(cells))
-}
-
-// RunPlan executes the plan's stale cells on the worker pool and
-// publishes skip outcomes for the up-to-date ones.
-func (e *Engine) RunPlan(plan *Plan) (*Summary, error) {
-	return e.RunPlanContext(context.Background(), plan)
-}
-
-// RunPlanContext is RunPlan under a context: when the context is
-// cancelled, cells already executing finish (their runs are recorded
-// normally — a half-written campaign is worse than a slightly longer
-// shutdown), cells not yet started report ctx.Err() in their outcome,
-// and the summary is still aggregated over whatever was recorded. This
-// is the daemon's clean-shutdown path.
-func (e *Engine) RunPlanContext(ctx context.Context, plan *Plan) (*Summary, error) {
-	if e.sys == nil {
-		return nil, fmt.Errorf("campaign: engine has no system")
-	}
-	workers := e.Workers
-	if workers < 1 {
-		workers = 1
-	}
-
-	cells := make([]Cell, len(plan.Cells))
-	for i, pc := range plan.Cells {
-		cells[i] = pc.Cell
-	}
-	// Fill in missing digests now, before any cell executes: a migrate
-	// cell's completion record must be keyed by the campaign-entry
-	// input state (the state a later planner will recompute), not by
-	// whatever revision earlier migrations have moved the repository to
-	// by the time the cell starts. Plans from Engine.Plan and ForcePlan
-	// already carry entry digests; bare ForceAll plans get theirs here.
-	e.fillDigests(plan)
-	outcomes := make([]Outcome, len(cells))
-	done := make([]chan struct{}, len(cells))
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-	deps := dependencies(cells)
-
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := range plan.Cells {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer close(done[i])
-			pc := plan.Cells[i]
-			if pc.Decision == DecisionSkip {
-				outcomes[i] = Outcome{Cell: pc.Cell, RunID: pc.PriorRunID, Skipped: true, Passed: true}
-				return
-			}
-			for _, d := range deps[i] {
-				<-done[d]
-			}
-			select {
-			case <-ctx.Done():
-				outcomes[i] = Outcome{Cell: pc.Cell, Err: ctx.Err()}
-				return
-			case sem <- struct{}{}:
-			}
-			defer func() { <-sem }()
-			// Re-check after possibly queuing behind busy workers: a
-			// cancelled campaign must not start new cells.
-			select {
-			case <-ctx.Done():
-				outcomes[i] = Outcome{Cell: pc.Cell, Err: ctx.Err()}
-				return
-			default:
-			}
-			outcomes[i] = e.runCell(pc)
-		}(i)
-	}
-	wg.Wait()
-	return e.summarize(outcomes, plan)
-}
-
-// summarize pairs a drained plan's outcomes with the recorded matrix and
-// run total, both read from the system's index.
-func (e *Engine) summarize(outcomes []Outcome, plan *Plan) (*Summary, error) {
-	x, err := e.sys.Index()
-	if err != nil {
-		return nil, fmt.Errorf("campaign: aggregating matrix: %w", err)
-	}
-	return &Summary{
-		Outcomes:  outcomes,
-		Plan:      plan,
-		Matrix:    x.Matrix(),
-		TotalRuns: x.TotalRuns(),
-	}, nil
+	return p, nil
 }
 
 // dependencies computes the per-experiment ordering barriers: a

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -42,6 +43,21 @@ func stdSet(t *testing.T, sys *core.SPSystem) *externals.Set {
 	return exts
 }
 
+// runForced executes every cell regardless of recorded state, the way
+// `spsys campaign -force` does.
+func runForced(t *testing.T, eng *Engine, cells []Cell) *Summary {
+	t.Helper()
+	plan, err := eng.ForcePlan(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := eng.RunPlanContext(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sum
+}
+
 // testConfigs returns the baseline plus two migration targets.
 func testConfigs() (baseline platform.Config, targets []platform.Config) {
 	return platform.OriginalConfig(), []platform.Config{
@@ -65,10 +81,7 @@ func campaignTotals(t *testing.T, workers int) (totals []cellTotals, campaignRun
 	baseline, targets := testConfigs()
 	cells := MatrixPlan(sys.Experiments(), baseline, append([]platform.Config{baseline}, targets...), []*externals.Set{exts})
 
-	sum, err := New(sys, workers).Run(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum := runForced(t, New(sys, workers), cells)
 	for i, o := range sum.Outcomes {
 		if o.Err != nil {
 			t.Fatalf("cell %d (%s %v): %v", i, o.Cell.Experiment, o.Cell.Config, o.Err)
@@ -185,10 +198,7 @@ func TestCellErrorsAreRecordedNotFatal(t *testing.T) {
 		{Experiment: "NOPE", Config: platform.ReferenceConfig(), Externals: exts, Mode: ModeValidate},
 		{Experiment: "H1", Config: platform.OriginalConfig(), Externals: exts, Mode: ModeValidate},
 	}
-	sum, err := New(sys, 2).Run(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum := runForced(t, New(sys, 2), cells)
 	if sum.Outcomes[0].Err == nil {
 		t.Fatal("unknown experiment did not error")
 	}
@@ -249,10 +259,7 @@ func TestManyIdenticalValidateCells(t *testing.T) {
 			})
 		}
 	}
-	sum, err := New(sys, 2).Run(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum := runForced(t, New(sys, 2), cells)
 	if got := sum.CampaignRuns(); got != len(cells) {
 		t.Fatalf("recorded %d runs, want %d", got, len(cells))
 	}

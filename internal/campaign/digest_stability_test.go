@@ -92,9 +92,7 @@ func TestPlanZeroCellsAfterSeam(t *testing.T) {
 	baseline, targets := testConfigs()
 	cells := MatrixPlan(seeder.Experiments(), baseline,
 		append([]platform.Config{baseline}, targets...), []*externals.Set{exts})
-	if _, err := New(seeder, 4).Run(cells); err != nil {
-		t.Fatal(err)
-	}
+	runForced(t, New(seeder, 4), cells)
 	// Re-plan as a fresh process over the unchanged store, the way each
 	// spd cycle does.
 	plan, err := New(newSystemWith(t, store), 4).Plan(cells)
@@ -119,9 +117,7 @@ func TestCampaignCellOnVMHostDriver(t *testing.T) {
 	hosted.Driver = vmhost.DriverName
 
 	eng := New(sys, 2)
-	if _, err := eng.Run([]Cell{plat}); err != nil {
-		t.Fatal(err)
-	}
+	runForced(t, eng, []Cell{plat})
 	plan, err := eng.Plan([]Cell{plat, hosted})
 	if err != nil {
 		t.Fatal(err)
@@ -129,9 +125,7 @@ func TestCampaignCellOnVMHostDriver(t *testing.T) {
 	if plan.RunCount() != 1 {
 		t.Fatalf("want only the vmhost cell stale, plan:\n%s", plan.Render())
 	}
-	if _, err := eng.Run([]Cell{hosted}); err != nil {
-		t.Fatal(err)
-	}
+	runForced(t, eng, []Cell{hosted})
 	plan, err = eng.Plan([]Cell{plat, hosted})
 	if err != nil {
 		t.Fatal(err)
@@ -151,10 +145,7 @@ func TestMigrationRejectsDriverBinding(t *testing.T) {
 		Experiment: "H1", Config: targets[0], Externals: exts,
 		Mode: ModeMigrate, Driver: vmhost.DriverName,
 	}
-	sum, err := New(sys, 1).Run([]Cell{cell})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum := runForced(t, New(sys, 1), []Cell{cell})
 	if len(sum.Outcomes) != 1 || sum.Outcomes[0].Err == nil {
 		t.Fatalf("driver-bound migration cell did not error: %+v", sum.Outcomes)
 	}

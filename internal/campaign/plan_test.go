@@ -39,7 +39,7 @@ func seedStore(t *testing.T, store *storage.Store) (matrixText string, totalRuns
 	if plan.SkipCount() != 0 {
 		t.Fatalf("empty store: %d cells skipped, want 0", plan.SkipCount())
 	}
-	sum, err := eng.RunPlan(plan)
+	sum, err := eng.RunPlanContext(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +47,10 @@ func seedStore(t *testing.T, store *storage.Store) (matrixText string, totalRuns
 		if o.Err != nil || !o.Passed {
 			t.Fatalf("seed cell %d failed: %+v", i, o)
 		}
+	}
+	// A local claim always wins and writes nothing: no lease records.
+	if leases := LoadLeases(store); len(leases) != 0 {
+		t.Fatalf("local campaign wrote %d lease records, want 0", len(leases))
 	}
 	return report.TextMatrix(sum.Matrix), sum.TotalRuns
 }
@@ -84,7 +88,7 @@ func TestIncrementalRecampaignPlansZeroCells(t *testing.T) {
 				t.Fatalf("seed %d: skip without provenance: %+v", seed, pc)
 			}
 		}
-		sum, err := eng.RunPlan(plan)
+		sum, err := eng.RunPlanContext(context.Background(), plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,31 +245,46 @@ func TestPlanRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunPlanContextCancelled checks the daemon's shutdown contract at
-// the engine level: with the context already cancelled, no cell starts,
-// every outcome reports the cancellation, and nothing is recorded.
+// TestRunPlanContextCancelled checks the shutdown contract once for
+// both claim policies: with the context already cancelled, no cell
+// starts, every outcome reports the cancellation, nothing is recorded
+// and no lease is written.
 func TestRunPlanContextCancelled(t *testing.T) {
-	store := storage.NewStore()
-	sys := newSystemWith(t, store)
-	cells := testCells(t, sys)
-	eng := New(sys, 2)
-	plan, err := eng.Plan(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	sum, err := eng.RunPlanContext(ctx, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, o := range sum.Outcomes {
-		if o.Err != context.Canceled {
-			t.Fatalf("cell %d: err=%v, want context.Canceled", i, o.Err)
-		}
-	}
-	if sum.TotalRuns != 0 || sum.CampaignRuns() != 0 {
-		t.Fatalf("cancelled campaign recorded runs: %d/%d", sum.CampaignRuns(), sum.TotalRuns)
+	for _, tc := range []struct {
+		name  string
+		lease bool
+	}{{"local", false}, {"lease", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := storage.NewStore()
+			sys := newSystemWith(t, store)
+			eng := New(sys, 2)
+			plan, err := eng.Plan(testCells(t, sys))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			var sum *Summary
+			if tc.lease {
+				sum, _, err = eng.DrainPlan(ctx, plan, quietQueueOpts(t, "cancelled", newFakeClock()))
+			} else {
+				sum, err = eng.RunPlanContext(ctx, plan)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, o := range sum.Outcomes {
+				if o.Err != context.Canceled {
+					t.Fatalf("cell %d: err=%v, want context.Canceled", i, o.Err)
+				}
+			}
+			if sum.TotalRuns != 0 || sum.CampaignRuns() != 0 {
+				t.Fatalf("cancelled campaign recorded runs: %d/%d", sum.CampaignRuns(), sum.TotalRuns)
+			}
+			if leases := LoadLeases(store); len(leases) != 0 {
+				t.Fatalf("cancelled campaign wrote %d lease records, want 0", len(leases))
+			}
+		})
 	}
 }
 

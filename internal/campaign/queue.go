@@ -1,11 +1,12 @@
-// The distributed executor: DrainPlan runs a plan's stale cells by
-// racing lease claims against every other worker draining the same
-// plan, instead of assuming it owns the whole matrix the way
-// RunPlanContext does. Each worker — an spd primary on the store
-// directory, or any number of `spd -worker` processes over the write
-// API — independently recomputes the identical deterministic plan,
-// then claims cells one at a time: claim, execute, renew while
-// executing, mark done. The store is the only coordination channel.
+// The campaign scheduler (DESIGN.md "Scheduler"): one drain loop runs
+// a plan's stale cells for both executors, and only the claim policy
+// differs between them. RunPlanContext claims locally: the process owns
+// the whole matrix, so every claim wins, with no lease record, no
+// renewal heartbeat and no clock. DrainPlan claims through cell leases,
+// racing every other worker draining the same plan — an spd primary on
+// the store directory, or any number of `spd -worker` processes over the
+// write API — each of which independently recomputes the identical
+// deterministic plan. The store is the only coordination channel.
 package campaign
 
 import (
@@ -26,12 +27,12 @@ type QueueOptions struct {
 	// holders renew at TTL/3; a holder silent for a full TTL is
 	// presumed dead and its cells are stolen.
 	TTL time.Duration
-	// Poll is the idle wait between queue passes when every remaining
-	// cell is leased by someone else (default 2s).
+	// Poll is the idle wait between queue passes when a peer holds a
+	// remaining cell (default 2s).
 	Poll time.Duration
 	// Now is the clock seam (cron.Wall when nil).
 	Now func() time.Time
-	// Sleep is the wait seam (cron.Sleeper when nil).
+	// Sleep is the idle-poll seam (cron.Sleeper when nil).
 	Sleep func(time.Duration)
 	// OnEvent, when non-nil, receives one line per queue transition
 	// (claim, steal, done, peer-done, lost, wait) for operator logs.
@@ -52,7 +53,7 @@ type QueueStats struct {
 	PlanSkips int
 	// Lost counts leases stolen from this worker mid-execution.
 	Lost int
-	// Waits counts idle polls while peers held the remaining cells.
+	// Waits counts polls while a peer held a remaining cell.
 	Waits int
 }
 
@@ -60,223 +61,281 @@ type QueueStats struct {
 type queueState int
 
 const (
-	cellPending  queueState = iota
-	cellClaiming            // a local goroutine is claiming or executing it
+	cellPending queueState = iota
+	cellClaimed            // a local goroutine is claiming or executing it
 	cellDone
 )
+
+// RunPlanContext executes the plan's stale cells on at most
+// Engine.Workers goroutines and publishes skip outcomes for the
+// up-to-date ones. Cell failures are reported per outcome, not as an
+// error: a broken cell is a meaningful campaign result. The returned
+// error covers only systemic problems (no system, or the final matrix
+// aggregation failing). On cancellation, executing cells finish and are
+// recorded (a half-written campaign is worse than a slightly longer
+// shutdown), unstarted cells report ctx.Err(), and the summary is still
+// aggregated over whatever was recorded — the daemon's clean-shutdown
+// path.
+func (e *Engine) RunPlanContext(ctx context.Context, plan *Plan) (*Summary, error) {
+	sum, _, err := e.drain(ctx, plan, nil)
+	return sum, err
+}
 
 // DrainPlan executes the plan as one worker of a distributed campaign:
 // every stale cell is executed by exactly one of the workers draining
 // the same store (lease claims decide which), and this worker's summary
-// reports peer-completed cells as skips carrying the peer's run ID.
-// Within the process, up to Engine.Workers cells run concurrently; the
-// same per-experiment migration barriers as RunPlanContext gate claims,
-// with peer-completed cells counting as satisfied barriers.
-//
-// Cancellation mirrors RunPlanContext: executing cells finish and
-// complete their leases (a half-done cell is worse than a slow
-// shutdown); cells claimed but not yet started are released for
-// immediate re-claim; unstarted cells report ctx.Err().
+// reports peer-completed cells as skips carrying the peer's run ID; a
+// peer's done lease satisfies a migration barrier. Cancellation is
+// RunPlanContext's, and a cell claimed but not yet started is released
+// for immediate re-claim.
 func (e *Engine) DrainPlan(ctx context.Context, plan *Plan, opts QueueOptions) (*Summary, *QueueStats, error) {
+	return e.drain(ctx, plan, &opts)
+}
+
+// drain is one run of the scheduler over a plan.
+type drain struct {
+	e    *Engine
+	plan *Plan
+	deps [][]int
+	mgr  *LeaseManager // nil: the local claim policy
+	opts QueueOptions  // the lease claim policy's options
+	logf func(string, ...interface{})
+
+	mu         sync.Mutex
+	changed    *sync.Cond   // broadcast on every cell transition and poll
+	state      []queueState // guarded by mu
+	outcomes   []Outcome    // guarded by mu
+	stats      QueueStats   // guarded by mu
+	busySeq    []int        // guarded by mu; refreshSeq of the cell's last ClaimBusy verdict
+	refreshSeq int          // guarded by mu; bumped after every poll
+	pollMu     sync.Mutex   // serializes polls
+}
+
+// drain runs the plan's stale cells on at most Engine.Workers
+// goroutines, each claiming the lowest pending cell whose barriers are
+// done. opts selects the claim policy: nil claims locally, otherwise
+// through cell leases.
+func (e *Engine) drain(ctx context.Context, plan *Plan, opts *QueueOptions) (*Summary, *QueueStats, error) {
 	if e.sys == nil {
 		return nil, nil, fmt.Errorf("campaign: engine has no system")
 	}
-	if opts.Worker == "" {
-		opts.Worker = "worker"
-	}
-	if opts.Poll <= 0 {
-		opts.Poll = 2 * time.Second
-	}
-	if opts.Now == nil {
-		opts.Now = cron.Wall()
-	}
-	if opts.Sleep == nil {
-		opts.Sleep = cron.Sleeper()
-	}
-	logf := opts.OnEvent
-	if logf == nil {
-		logf = func(string, ...interface{}) {}
-	}
-	workers := e.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	mgr := NewLeaseManager(e.sys.Store, opts.Worker, opts.TTL, opts.Now)
-	e.fillDigests(plan)
-
 	cells := make([]Cell, len(plan.Cells))
 	for i, pc := range plan.Cells {
 		cells[i] = pc.Cell
 	}
-	deps := dependencies(cells)
-	outcomes := make([]Outcome, len(cells))
-	var (
-		mu         sync.Mutex
-		stats      QueueStats
-		state      = make([]queueState, len(cells))
-		busySeq    = make([]int, len(cells)) // refresh seq of the last ClaimBusy verdict
-		refreshSeq = 1                       // bumped after every idle refresh
-	)
+	d := &drain{
+		e: e, plan: plan, deps: dependencies(cells),
+		logf:       func(string, ...interface{}) {},
+		state:      make([]queueState, len(cells)),
+		outcomes:   make([]Outcome, len(cells)),
+		busySeq:    make([]int, len(cells)),
+		refreshSeq: 1,
+	}
+	d.changed = sync.NewCond(&d.mu)
+	if opts != nil {
+		d.opts = *opts
+		if d.opts.Worker == "" {
+			d.opts.Worker = "worker"
+		}
+		if d.opts.Poll <= 0 {
+			d.opts.Poll = 2 * time.Second
+		}
+		if d.opts.Sleep == nil {
+			d.opts.Sleep = cron.Sleeper()
+		}
+		if d.opts.OnEvent != nil {
+			d.logf = d.opts.OnEvent
+		}
+		d.mgr = NewLeaseManager(e.sys.Store, d.opts.Worker, d.opts.TTL, d.opts.Now)
+	}
 	for i, pc := range plan.Cells {
 		if pc.Decision == DecisionSkip {
-			outcomes[i] = Outcome{Cell: pc.Cell, RunID: pc.PriorRunID, Skipped: true, Passed: true}
-			state[i] = cellDone
-			stats.PlanSkips++
+			d.outcomes[i] = Outcome{Cell: pc.Cell, RunID: pc.PriorRunID, Skipped: true, Passed: true}
+			d.state[i] = cellDone
+			d.stats.PlanSkips++
 		}
-		busySeq[i] = 0
-	}
-
-	// nextCell picks the lowest pending cell whose barriers are done and
-	// that has not been found busy since the last refresh, marking it
-	// claiming. ok=false when the queue is fully drained.
-	nextCell := func() (int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		allDone := true
-		for i := range state {
-			if state[i] == cellDone {
-				continue
-			}
-			allDone = false
-			if state[i] != cellPending || busySeq[i] >= refreshSeq {
-				continue
-			}
-			ready := true
-			for _, d := range deps[i] {
-				if state[d] != cellDone {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				state[i] = cellClaiming
-				return i, true
-			}
-		}
-		return -1, !allDone
-	}
-	markDone := func(i int, out Outcome) {
-		mu.Lock()
-		outcomes[i] = out
-		state[i] = cellDone
-		mu.Unlock()
-	}
-	markBusy := func(i int) {
-		mu.Lock()
-		busySeq[i] = refreshSeq
-		state[i] = cellPending
-		mu.Unlock()
-	}
-
-	// idleWait refreshes the store view (how a remote worker observes
-	// peers' lease transitions) and sleeps one poll interval. Serialized
-	// so concurrent idle workers don't multiply refresh walks.
-	var idleMu sync.Mutex
-	idleWait := func() {
-		idleMu.Lock()
-		defer idleMu.Unlock()
-		mu.Lock()
-		stats.Waits++
-		mu.Unlock()
-		opts.Sleep(opts.Poll)
-		if err := e.sys.Store.Refresh(); err != nil {
-			logf("queue: refresh: %v", err)
-		}
-		mu.Lock()
-		refreshSeq++
-		mu.Unlock()
 	}
 
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < max(e.Workers, 1); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i, more := nextCell()
-				if i < 0 {
-					if !more {
-						return
-					}
-					idleWait()
-					continue
-				}
-				pc := plan.Cells[i]
-				label := pc.Cell.Label()
-				lease, status, rec, err := mgr.Claim(queueDigest(pc), label)
-				if err != nil {
-					// A claim that cannot reach the store is retried after a
-					// poll like a busy cell; the store outage is surfaced once
-					// the context gives up.
-					logf("queue: claiming %s: %v", label, err)
-					markBusy(i)
-					idleWait()
-					continue
-				}
-				switch status {
-				case ClaimDone:
-					logf("queue: %s done by peer %s (%s)", label, rec.Worker, rec.RunID)
-					markDone(i, Outcome{Cell: pc.Cell, RunID: rec.RunID, Skipped: true, Passed: rec.Passed})
-					mu.Lock()
-					stats.PeerDone++
-					mu.Unlock()
-				case ClaimBusy:
-					logf("queue: %s held by %s until %d", label, rec.Worker, rec.Deadline)
-					markBusy(i)
-				case ClaimWon:
-					if lease.Stole {
-						logf("queue: stole expired lease for %s (epoch %d, steals %d)", label, rec.Epoch, rec.Steals)
-					} else {
-						logf("queue: claimed %s (epoch %d)", label, rec.Epoch)
-					}
-					// A cancellation that lands after the claim but before the
-					// cell starts hands the lease straight back.
-					if ctx.Err() != nil {
-						if rerr := mgr.Release(lease); rerr != nil {
-							logf("queue: releasing %s: %v", label, rerr)
-						} else {
-							logf("queue: released %s (shutdown)", label)
-						}
-						markDone(i, Outcome{Cell: pc.Cell, Err: ctx.Err()})
-						return
-					}
-					out, lost := e.executeLeased(lease, pc, mgr, opts, logf)
-					markDone(i, out)
-					mu.Lock()
-					stats.Executed++
-					if lease.Stole {
-						stats.Stolen++
-					}
-					if lost {
-						stats.Lost++
-					}
-					mu.Unlock()
-				}
-			}
+			d.work(ctx)
 		}()
 	}
 	wg.Wait()
 
 	// Cells never started (cancellation) report the context error.
-	mu.Lock()
-	for i := range state {
-		if state[i] != cellDone {
-			outcomes[i] = Outcome{Cell: cells[i], Err: ctx.Err()}
-			if outcomes[i].Err == nil {
-				outcomes[i].Err = fmt.Errorf("campaign: cell never claimed")
-			}
+	for i, st := range d.state {
+		if st != cellDone {
+			d.outcomes[i] = Outcome{Cell: cells[i], Err: ctx.Err()}
 		}
 	}
-	mu.Unlock()
-
-	sum, err := e.summarize(outcomes, plan)
+	x, err := e.sys.Index()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("campaign: aggregating matrix: %w", err)
 	}
-	return sum, &stats, nil
+	// A copy, not &d.stats: the caller may keep the stats, and a pointer
+	// into d would keep the whole system of the drain alive with them.
+	stats := d.stats
+	return &Summary{Outcomes: d.outcomes, Plan: plan, Matrix: x.Matrix(), TotalRuns: x.TotalRuns()}, &stats, nil
+}
+
+// work is one scheduler goroutine: claim, execute, repeat until the
+// plan is drained or the context is cancelled.
+func (d *drain) work(ctx context.Context) {
+	for {
+		i, peer := d.next(ctx)
+		switch {
+		case i >= 0 && d.mgr == nil:
+			d.finish(i, d.e.runCell(d.plan.Cells[i]), nil)
+		case i >= 0:
+			d.claimLease(ctx, i)
+		case peer:
+			d.poll()
+		default:
+			return
+		}
+	}
+}
+
+// next marks the lowest ready cell claimed and returns it: pending, its
+// barriers done, and not found held by a peer since the last poll. With
+// no cell ready it waits while only this process's own cells are in the
+// way; it returns -1 with peer set when a peer holds a remaining cell
+// (the caller polls), and -1 alone once every cell is done or the
+// context is cancelled.
+func (d *drain) next(ctx context.Context) (int, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for ctx.Err() == nil {
+		open, peer := false, false
+		for i, st := range d.state {
+			if st == cellDone {
+				continue
+			}
+			open = true
+			switch {
+			case st == cellClaimed:
+			case d.busySeq[i] >= d.refreshSeq:
+				peer = true
+			case d.readyLocked(i):
+				d.state[i] = cellClaimed
+				return i, false
+			}
+		}
+		if !open || peer {
+			return -1, peer
+		}
+		// The lowest open cell is ready unless it is claimed here, so a
+		// local cell is in flight and its transition broadcasts.
+		d.changed.Wait()
+	}
+	return -1, false
+}
+
+// readyLocked reports whether every barrier of cell i is done. The
+// caller holds d.mu.
+func (d *drain) readyLocked(i int) bool {
+	for _, dep := range d.deps[i] {
+		if d.state[dep] != cellDone {
+			return false
+		}
+	}
+	return true
+}
+
+// finish records a cell's outcome and, when count is non-nil, applies
+// it to the stats.
+func (d *drain) finish(i int, out Outcome, count func(*QueueStats)) {
+	d.mu.Lock()
+	d.outcomes[i] = out
+	d.state[i] = cellDone
+	if count != nil {
+		count(&d.stats)
+	}
+	d.changed.Broadcast()
+	d.mu.Unlock()
+}
+
+// busy hands a cell a peer holds back to the pending pool; it is not
+// claimed again before the next poll.
+func (d *drain) busy(i int) {
+	d.mu.Lock()
+	d.busySeq[i] = d.refreshSeq
+	d.state[i] = cellPending
+	d.changed.Broadcast()
+	d.mu.Unlock()
+}
+
+// poll is the wait for a peer: one poll interval, then a store refresh
+// (how a remote worker observes peers' lease transitions). Serialized
+// so concurrent idle goroutines don't multiply refresh walks.
+func (d *drain) poll() {
+	d.pollMu.Lock()
+	defer d.pollMu.Unlock()
+	d.mu.Lock()
+	d.stats.Waits++
+	d.mu.Unlock()
+	d.opts.Sleep(d.opts.Poll)
+	if err := d.e.sys.Store.Refresh(); err != nil {
+		d.logf("queue: refresh: %v", err)
+	}
+	d.mu.Lock()
+	d.refreshSeq++
+	d.changed.Broadcast()
+	d.mu.Unlock()
+}
+
+// claimLease runs claimed cell i under the lease claim policy.
+func (d *drain) claimLease(ctx context.Context, i int) {
+	pc := d.plan.Cells[i]
+	label := pc.Cell.Label()
+	lease, status, rec, err := d.mgr.Claim(queueDigest(pc), label)
+	switch {
+	case err != nil:
+		// A claim that cannot reach the store is retried after a poll
+		// like a busy cell; the store outage is surfaced once the context
+		// gives up.
+		d.logf("queue: claiming %s: %v", label, err)
+		d.busy(i)
+		d.poll()
+		return
+	case status == ClaimDone:
+		d.logf("queue: %s done by peer %s (%s)", label, rec.Worker, rec.RunID)
+		d.finish(i, Outcome{Cell: pc.Cell, RunID: rec.RunID, Skipped: true, Passed: rec.Passed}, func(s *QueueStats) { s.PeerDone++ })
+		return
+	case status == ClaimBusy:
+		d.logf("queue: %s held by %s until %d", label, rec.Worker, rec.Deadline)
+		d.busy(i)
+		return
+	case lease.Stole:
+		d.logf("queue: stole expired lease for %s (epoch %d, steals %d)", label, rec.Epoch, rec.Steals)
+	default:
+		d.logf("queue: claimed %s (epoch %d)", label, rec.Epoch)
+	}
+	// A cancellation that lands after the claim but before the cell
+	// starts hands the lease straight back.
+	if ctx.Err() != nil {
+		if err := d.mgr.Release(lease); err != nil {
+			d.logf("queue: releasing %s: %v", label, err)
+		} else {
+			d.logf("queue: released %s (shutdown)", label)
+		}
+		d.finish(i, Outcome{Cell: pc.Cell, Err: ctx.Err()}, nil)
+		return
+	}
+	out, lost := d.executeLeased(lease, pc)
+	d.finish(i, out, func(s *QueueStats) {
+		s.Executed++
+		if lease.Stole {
+			s.Stolen++
+		}
+		if lost {
+			s.Lost++
+		}
+	})
 }
 
 // queueDigest returns the lease identity of a planned cell: its input
@@ -297,35 +356,29 @@ func queueDigest(pc PlannedCell) string {
 // demotes the outcome to non-authoritative: the runs this worker
 // recorded remain in the store — append-only, digest-deduplicated —
 // but the thief owns the verdict.
-func (e *Engine) executeLeased(lease *Lease, pc PlannedCell, mgr *LeaseManager, opts QueueOptions, logf func(string, ...interface{})) (Outcome, bool) {
+func (d *drain) executeLeased(lease *Lease, pc PlannedCell) (Outcome, bool) {
 	label := pc.Cell.Label()
 	stop := make(chan struct{})
 	lostc := make(chan struct{})
 	go func() {
-		interval := mgr.TTL() / 3
-		if interval < time.Millisecond {
-			interval = time.Millisecond
-		}
+		// The heartbeat waits on a wall-clock timer that stops with the
+		// cell, not on the idle-poll seam. It must not outlive the cell:
+		// it holds the drain, and with it the cycle's whole system.
+		// Every rejects only a non-positive interval.
+		every, _ := cron.Every(max(d.mgr.TTL()/3, time.Millisecond))
+		beat := cron.NewDriver(every)
 		for {
-			select {
-			case <-stop:
+			if _, fired, _ := beat.Wait(stop); !fired {
 				return
-			default:
 			}
-			opts.Sleep(interval)
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := mgr.Renew(lease); err != nil {
-				logf("queue: renewing %s: %v", label, err)
+			if err := d.mgr.Renew(lease); err != nil {
+				d.logf("queue: renewing %s: %v", label, err)
 				close(lostc)
 				return
 			}
 		}
 	}()
-	out := e.runCell(pc)
+	out := d.e.runCell(pc)
 	close(stop)
 	select {
 	case <-lostc:
@@ -334,11 +387,11 @@ func (e *Engine) executeLeased(lease *Lease, pc PlannedCell, mgr *LeaseManager, 
 		return out, true
 	default:
 	}
-	if err := mgr.Complete(lease, out.RunID, out.Passed && out.Err == nil); err != nil {
-		logf("queue: completing %s: %v", label, err)
+	if err := d.mgr.Complete(lease, out.RunID, out.Passed && out.Err == nil); err != nil {
+		d.logf("queue: completing %s: %v", label, err)
 		out.Err = fmt.Errorf("campaign: %s: %w", label, err)
 		return out, true
 	}
-	logf("queue: completed %s (%s, passed=%v)", label, out.RunID, out.Passed)
+	d.logf("queue: completed %s (%s, passed=%v)", label, out.RunID, out.Passed)
 	return out, false
 }

@@ -6,8 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/platform"
 	"repro/internal/runner"
 	"repro/internal/storage"
+	"repro/internal/valtest"
 )
 
 // quietQueueOpts returns queue options suitable for in-process tests:
@@ -44,7 +46,8 @@ func greenRunsPerDigest(t *testing.T, store *storage.Store) map[string]int {
 
 // A single worker draining a plan is equivalent to RunPlanContext: all
 // cells execute, leases end done, and a re-plan over the drained store
-// plans zero cells.
+// plans zero cells. With no peer, a goroutine blocked behind a barrier
+// of its own process waits for that cell, never for a poll interval.
 func TestDrainPlanSingleWorker(t *testing.T) {
 	store := storage.NewStore()
 	clk := newFakeClock()
@@ -55,12 +58,14 @@ func TestDrainPlanSingleWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantRun := plan.RunCount()
-	sum, stats, err := eng.DrainPlan(context.Background(), plan, quietQueueOpts(t, "solo", clk))
+	opts := quietQueueOpts(t, "solo", clk)
+	opts.Sleep = func(d time.Duration) { t.Errorf("solo drain slept %v", d) }
+	sum, stats, err := eng.DrainPlan(context.Background(), plan, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Executed != wantRun || stats.PeerDone != 0 || stats.Stolen != 0 {
-		t.Fatalf("stats %+v, want %d executed and no peers", stats, wantRun)
+	if stats.Executed != wantRun || stats.PeerDone != 0 || stats.Stolen != 0 || stats.Waits != 0 {
+		t.Fatalf("stats %+v, want %d executed, no peers and no waits", stats, wantRun)
 	}
 	for i, o := range sum.Outcomes {
 		if o.Err != nil || !o.Passed {
@@ -263,10 +268,7 @@ func TestDrainPlanStealsCrashedWorkersCell(t *testing.T) {
 	opts := quietQueueOpts(t, "worker-b", clk)
 	polls := 0
 	var pollMu sync.Mutex
-	opts.Sleep = func(d time.Duration) {
-		if d != opts.Poll {
-			return // renewal heartbeats share the seam; count idle polls only
-		}
+	opts.Sleep = func(time.Duration) {
 		pollMu.Lock()
 		polls++
 		stuck := polls > 2000
@@ -326,5 +328,54 @@ func TestDrainPlanStealsCrashedWorkersCell(t *testing.T) {
 	}
 	if leaseRec.State != LeaseDone || leaseRec.Worker != "worker-c" || leaseRec.Epoch != 2 || leaseRec.Steals != 1 {
 		t.Fatalf("stolen lease record %+v", leaseRec)
+	}
+}
+
+// renewWaitDriver holds a cell in Provision until the store shows its
+// lease renewed: a cell that outlives its heartbeat interval.
+type renewWaitDriver struct {
+	valtest.Driver
+	store *storage.Store
+}
+
+func (d *renewWaitDriver) Name() string { return "renew-wait" }
+
+func (d *renewWaitDriver) Provision(req valtest.ProvisionRequest) (*valtest.Context, error) {
+	for start := time.Now(); time.Since(start) < 10*time.Second; time.Sleep(time.Millisecond) {
+		if recs := LoadLeases(d.store); len(recs) == 1 && recs[0].Renews > 0 {
+			break
+		}
+	}
+	return d.Driver.Provision(req)
+}
+
+// A cell running longer than a third of the lease TTL renews its lease
+// while it runs, with no call to the idle-poll seam, and still
+// completes it.
+func TestDrainPlanRenewsLongCell(t *testing.T) {
+	store := storage.NewStore()
+	sys := newSystemWith(t, store)
+	sys.RegisterDriver(&renewWaitDriver{Driver: &valtest.PlatformDriver{Builder: sys.Builder}, store: store})
+	eng := New(sys, 1)
+	plan, err := eng.Plan([]Cell{{
+		Experiment: "H1", Config: platform.ReferenceConfig(), Externals: stdSet(t, sys),
+		Mode: ModeValidate, Driver: "renew-wait",
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := quietQueueOpts(t, "slow", newFakeClock())
+	opts.TTL = 3 * time.Millisecond
+	opts.Sleep = func(d time.Duration) { t.Errorf("drain slept %v", d) }
+	_, stats, err := eng.DrainPlan(context.Background(), plan, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Executed != 1 || stats.Lost != 0 {
+		t.Fatalf("stats %+v, want the one cell executed and its lease kept", stats)
+	}
+	recs := LoadLeases(store)
+	if len(recs) != 1 || recs[0].State != LeaseDone || recs[0].Renews == 0 {
+		t.Fatalf("lease records %+v, want one done lease renewed at least once", recs)
 	}
 }
