@@ -428,8 +428,8 @@ func BenchmarkGroupCommitAppend(b *testing.B) {
 }
 
 // lastSynthRunID is the ID of the n-th synthesized run — a cheap
-// open-completeness probe that, unlike Stats, does not trigger the lazy
-// blob-statistics walk inside a timed loop.
+// open-completeness probe that, unlike Stats, does not walk the blob
+// tree inside a timed loop.
 func lastSynthRunID(n int) string { return fmt.Sprintf("run-%04d", n) }
 
 // BenchmarkStoreSync prices one-way replication of a 5k-run store —

@@ -414,7 +414,7 @@ const compactJournalThreshold = 256 << 10 // 256 KiB
 // snapshot generation check in their Refresh.
 func compactIfWorthwhile(store *storage.Store) error {
 	// Position (not Info): the journal tail length is all the decision
-	// needs, and Info would force the lazy blob-statistics walk — an
+	// needs, and Info walks the whole blob tree for its statistics — an
 	// O(blobs) cost the steady-state cycle must not pay.
 	pos, ok := store.Position()
 	if !ok || pos.Offset < compactJournalThreshold {

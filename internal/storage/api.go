@@ -169,11 +169,9 @@ type JournalReader interface {
 // walking /names.
 var ErrPositionGone = errors.New("journal position gone")
 
-// nameCounter is implemented by backends that can count their bindings
-// without listing them.
-type nameCounter interface {
-	NameCount() int
-}
+// dirred is implemented by the backends over a store directory: the
+// seam that lets a caller stat files in it without reading them.
+type dirred interface{ Dir() string }
 
 // Paging bounds for /names, /blobs and /journal: the default page, and
 // the hard cap a client-supplied limit is clamped to. A sync client
@@ -428,7 +426,6 @@ func setBlobHeaders(w http.ResponseWriter, hash string) {
 // blobSize stats the blob without reading it, for HEAD responses over
 // filesystem-backed stores. Non-filesystem backends read the blob.
 func (h *APIHandler) blobSize(hash string) (int64, error) {
-	type dirred interface{ Dir() string }
 	if d, ok := h.store.Backend().(dirred); ok {
 		fi, err := os.Stat(filepath.Join(d.Dir(), "blobs", hash[:2], hash))
 		if err != nil {
@@ -554,17 +551,7 @@ func (h *APIHandler) servePosition(w http.ResponseWriter, r *http.Request) {
 	if answerNotModified(w, r, core) {
 		return
 	}
-	doc := PositionDoc{Position: pos, PositionOK: posOK}
-	if c, ok := h.store.Backend().(nameCounter); ok {
-		doc.Bindings = c.NameCount()
-	} else {
-		names, err := h.store.Backend().ListNames()
-		if err != nil {
-			WriteAPIError(w, http.StatusInternalServerError, "internal", err.Error())
-			return
-		}
-		doc.Bindings = len(names)
-	}
+	doc := PositionDoc{Position: pos, PositionOK: posOK, Bindings: h.store.Backend().NameCount()}
 	writeNegotiatedJSON(w, r, doc, core)
 }
 

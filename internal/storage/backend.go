@@ -42,6 +42,8 @@ type Backend interface {
 	ResolveName(name string) (string, bool)
 	// ListNames returns all bound names, sorted.
 	ListNames() ([]string, error)
+	// NameCount returns the number of bound names without listing them.
+	NameCount() int
 
 	// Increment atomically increments the integer counter bound to the
 	// name and returns the new value. A missing binding counts from

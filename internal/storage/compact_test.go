@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -604,10 +606,14 @@ func TestJournalFailStopWedgesEverything(t *testing.T) {
 	}
 }
 
-// TestReaderStatsFromSnapshotHeader: a read view of a compacted store
-// serves exact blob statistics without a tree walk (the snapshot
-// header path), and they match the writer's.
-func TestReaderStatsFromSnapshotHeader(t *testing.T) {
+// TestStatsExactAfterCompaction: blob statistics are exact after a
+// compaction, for the writer and a read view alike. They stay exact for
+// a blob put but never bound (what a worker that dies between PUT /blob
+// and POST /name leaves behind): after a reopen, the writer and a fresh
+// read view both report what the blob tree holds. The compacted
+// snapshot carries the blob figures its format's earlier writer put in
+// the header; it must load, and they must be ignored.
+func TestStatsExactAfterCompaction(t *testing.T) {
 	dir := t.TempDir()
 	w := openFS(t, dir)
 	defer w.Close()
@@ -625,8 +631,8 @@ func TestReaderStatsFromSnapshotHeader(t *testing.T) {
 	if got := r.Stats(); got != wantStats {
 		t.Fatalf("reader stats over compacted store = %+v, want %+v", got, wantStats)
 	}
-	// Once the tail grows and the reader applies it, the header no
-	// longer covers the state: the walk path must still be exact.
+	// Once the tail grows and the reader applies it, the stats must
+	// still be exact.
 	if _, err := w.Put("post", "compact", []byte("tail content")); err != nil {
 		t.Fatal(err)
 	}
@@ -635,5 +641,54 @@ func TestReaderStatsFromSnapshotHeader(t *testing.T) {
 	}
 	if got, want := r.Stats(), w.Stats(); got != want {
 		t.Fatalf("reader stats with tail = %+v, want %+v", got, want)
+	}
+
+	odir := t.TempDir()
+	o := openFS(t, odir)
+	if _, err := o.Put("runs", "run-0001", []byte("bound")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.PutBlob([]byte("put, never bound")); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(snapshotPath(odir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl := bytes.IndexByte(data, '\n')
+	var hdr map[string]interface{}
+	if err := json.Unmarshal(data[:nl], &hdr); err != nil {
+		t.Fatal(err)
+	}
+	hdr["blobs"], hdr["blob_bytes"] = 1, len("bound")
+	head, err := json.Marshal(hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snapshotPath(odir), append(append(head, '\n'), data[nl+1:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, err := walkBlobStats(odir)
+	if err != nil || want.Blobs != 2 {
+		t.Fatalf("blob tree holds %+v (%v), want 2 blobs", want, err)
+	}
+	ro := openFS(t, odir)
+	defer ro.Close()
+	if got := ro.Stats(); got.Blobs != want.Blobs || got.Bytes != want.Bytes || got.Bindings != 1 {
+		t.Fatalf("reopened writer stats = %+v, blob tree holds %+v over 1 binding", got, want)
+	}
+	rv, err := OpenReadOnly(odir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rv.Close()
+	if got := rv.Stats(); got.Blobs != want.Blobs || got.Bytes != want.Bytes || got.Bindings != 1 {
+		t.Fatalf("read view stats = %+v, blob tree holds %+v over 1 binding", got, want)
 	}
 }

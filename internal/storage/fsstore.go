@@ -28,8 +28,8 @@ import (
 //	                          unboundedly
 //	<dir>/tmp/                staging area for atomic writes
 //	<dir>/names.snapshot      compacted journal state: one header line
-//	                          (format version, generation, checksum,
-//	                          blob statistics) plus one entry per live
+//	                          (format version, generation, binding
+//	                          count, checksum) plus one entry per live
 //	                          binding; written atomically by Compact
 //	<dir>/names.log           append-only JSON-lines journal of name
 //	                          bindings appended since the snapshot;
@@ -113,11 +113,6 @@ type FSBackend struct {
 	// returns an error — the fault-injection hook behind the
 	// crash-recovery interleaving tests.
 	compactFault func(stage string) error
-
-	statsMu    sync.Mutex
-	statsReady bool  // guarded by statsMu; blob stats established (snapshot header or walk)
-	blobCount  int   // guarded by statsMu
-	blobBytes  int64 // guarded by statsMu
 }
 
 // SyncMode selects how eagerly the backend pushes writes to stable
@@ -197,16 +192,6 @@ func OpenFSBackendWith(dir string, opts Options) (*FSBackend, error) {
 	}
 	if err := b.replayJournal(); err != nil {
 		return fail(err)
-	}
-	// Blob statistics are lazy: Open never walks the blob tree. A
-	// compacted store with an empty journal tail trusts the exact counts
-	// in its snapshot header; any other state defers the walk to the
-	// first Stats/Info call (and Compact re-walks, so snapshot headers
-	// are always exact). Opening — the operation every process pays —
-	// therefore costs O(snapshot + journal tail), never O(blobs).
-	if hasSnap && b.journalEnd == 0 {
-		b.blobCount, b.blobBytes = hdr.Blobs, hdr.BlobBytes
-		b.statsReady = true
 	}
 	if err := b.cleanStaging(); err != nil {
 		return fail(err)
@@ -439,9 +424,13 @@ func (b *FSBackend) replayJournal() (err error) {
 	return nil
 }
 
-// walkBlobStats walks the blob tree once, returning exact counts.
-func walkBlobStats(dir string) (count int, bytes int64, err error) {
-	err = filepath.WalkDir(filepath.Join(dir, "blobs"), func(path string, d fs.DirEntry, err error) error {
+// walkBlobStats walks the blob tree under dir once and returns its
+// exact blob count and byte total. It is the only source of blob
+// statistics for the filesystem backends: nothing caches them, so they
+// cannot drift from what is on disk (a blob put but never bound, say).
+func walkBlobStats(dir string) (Stats, error) {
+	var st Stats
+	err := filepath.WalkDir(filepath.Join(dir, "blobs"), func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
 		}
@@ -449,30 +438,14 @@ func walkBlobStats(dir string) (count int, bytes int64, err error) {
 		if err != nil {
 			return err
 		}
-		count++
-		bytes += info.Size()
+		st.Blobs++
+		st.Bytes += info.Size()
 		return nil
 	})
 	if err != nil {
-		return 0, 0, fmt.Errorf("storage: scanning blobs: %w", err)
+		return Stats{}, fmt.Errorf("storage: scanning blobs: %w", err)
 	}
-	return count, bytes, nil
-}
-
-// ensureStatsLocked establishes blob statistics by a tree walk if they
-// are not already known. The caller holds statsMu, so no PutBlob can
-// commit a rename while the walk runs.
-func (b *FSBackend) ensureStatsLocked() error {
-	if b.statsReady {
-		return nil
-	}
-	count, bytes, err := walkBlobStats(b.dir)
-	if err != nil {
-		return err
-	}
-	b.blobCount, b.blobBytes = count, bytes
-	b.statsReady = true
-	return nil
+	return st, nil
 }
 
 // cleanStaging removes staged files a crashed writer left in tmp/. They
@@ -490,9 +463,8 @@ func (b *FSBackend) cleanStaging() error {
 }
 
 // PutBlob stages the content in tmp/ and renames it into the sharded
-// blob tree. The expensive work — hashing (done by the caller) and the
-// write of the content itself — happens outside any lock; only the
-// exists-check plus rename is serialized.
+// blob tree. No lock is taken: concurrent puts of one hash stage
+// identical content, and renaming it into place twice is harmless.
 func (b *FSBackend) PutBlob(hash string, data []byte) error {
 	target := b.blobPath(hash)
 	// Dedup fast path. The size check is a cheap sanity test: a truncated
@@ -539,15 +511,6 @@ func (b *FSBackend) PutBlob(hash string, data []byte) error {
 			return err
 		}
 	}
-	b.statsMu.Lock()
-	defer b.statsMu.Unlock()
-	prior, priorErr := os.Stat(target)
-	if priorErr == nil && prior.Size() == int64(len(data)) {
-		// A concurrent writer won the race; our staged copy is identical
-		// (same hash), so just drop it.
-		os.Remove(tmpName)
-		return nil
-	}
 	// Either the blob is new, or a damaged copy (wrong size) sits at the
 	// target; the rename installs or repairs it atomically either way.
 	if err := os.Rename(tmpName, target); err != nil {
@@ -557,16 +520,7 @@ func (b *FSBackend) PutBlob(hash string, data []byte) error {
 	// Sync the shard directory so the rename itself is durable before
 	// any journal line referencing this hash can reach disk; otherwise a
 	// power loss could replay a binding whose blob entry never made it.
-	if err := b.syncDir(filepath.Dir(target)); err != nil {
-		return err
-	}
-	if priorErr == nil {
-		b.blobBytes += int64(len(data)) - prior.Size() // repaired in place
-	} else {
-		b.blobCount++
-		b.blobBytes += int64(len(data))
-	}
-	return nil
+	return b.syncDir(filepath.Dir(target))
 }
 
 // syncDir fsyncs a directory (a no-op under SyncNone), making recently
@@ -917,41 +871,13 @@ func (b *FSBackend) Increment(name string) (int, error) {
 	return n, nil
 }
 
-// Stats returns the live binding count plus blob statistics. Blob
-// statistics are established lazily — from the snapshot header when the
-// store opened compacted with an empty journal tail, otherwise by one
-// blob-tree walk on the first call — and maintained incrementally from
-// then on, so Open never pays an O(blobs) walk.
+// Stats returns the live binding count plus blob statistics walked
+// from the blob tree on every call — a diagnostic, O(blobs), that no
+// open, put or compaction pays for.
 func (b *FSBackend) Stats() (Stats, error) {
-	b.mu.RLock()
-	bindings := len(b.names)
-	b.mu.RUnlock()
-	b.statsMu.Lock()
-	defer b.statsMu.Unlock()
-	if err := b.ensureStatsLocked(); err != nil {
-		return Stats{Bindings: bindings}, err
-	}
-	return Stats{Blobs: b.blobCount, Bindings: bindings, Bytes: b.blobBytes}, nil
-}
-
-// Info extends Stats with the snapshot and journal figures the
-// compaction machinery exposes to operators (`spsys store stats`).
-func (b *FSBackend) Info() (StoreInfo, error) {
-	st, err := b.Stats()
-	if err != nil {
-		return StoreInfo{Stats: st}, err
-	}
-	b.mu.RLock()
-	info := StoreInfo{
-		Stats:        st,
-		Generation:   b.gen,
-		JournalBytes: b.journalEnd,
-	}
-	b.mu.RUnlock()
-	if fi, err := os.Stat(snapshotPath(b.dir)); err == nil {
-		info.SnapshotBytes = fi.Size()
-	}
-	return info, nil
+	st, err := walkBlobStats(b.dir)
+	st.Bindings = b.NameCount()
+	return st, err
 }
 
 // Position identifies how much durable name history this backend has
@@ -982,8 +908,8 @@ type CompactStats struct {
 // compaction) instead of the store's lifetime history. The protocol is
 // crash-safe at every step:
 //
-//  1. The snapshot (generation G+1, current bindings, exact blob
-//     statistics, checksummed) is staged under tmp/ and fsynced.
+//  1. The snapshot (generation G+1, current bindings, checksummed) is
+//     staged under tmp/ and fsynced.
 //     A crash here leaves the old snapshot and full journal: state
 //     unchanged, stale staging cleaned at next Open.
 //  2. The staged file is renamed over names.snapshot and the directory
@@ -995,6 +921,7 @@ type CompactStats struct {
 //     by the snapshot; the writer holds the store lock, so nothing can
 //     have appended in between) and, except under SyncNone, synced.
 //
+// Compaction costs O(bindings): it never touches the blob tree.
 // Read-only views are tolerated mid-compaction without any lock
 // handshake: they detect the generation change in Refresh and reload
 // from the new snapshot instead of trusting stale byte offsets (see
@@ -1013,23 +940,7 @@ func (b *FSBackend) Compact() (CompactStats, error) {
 	if err := b.writableLocked(); err != nil {
 		return CompactStats{}, err
 	}
-	// The snapshot header carries exact blob statistics (the next Open
-	// trusts them without walking), so re-establish them by a fresh walk
-	// here: compaction is where incremental drift — e.g. blobs orphaned
-	// by a crash between PutBlob and the journal append — gets squared
-	// away.
-	b.statsMu.Lock()
-	b.statsReady = false
-	if err := b.ensureStatsLocked(); err != nil {
-		b.statsMu.Unlock()
-		return CompactStats{}, err
-	}
-	hdr := snapshotHeader{
-		Generation: b.gen + 1,
-		Blobs:      b.blobCount,
-		BlobBytes:  b.blobBytes,
-	}
-	b.statsMu.Unlock()
+	hdr := snapshotHeader{Generation: b.gen + 1}
 	head, body, err := encodeSnapshot(hdr, b.names)
 	if err != nil {
 		return CompactStats{}, err

@@ -336,51 +336,13 @@ func (b *FSReadBackend) Increment(name string) (int, error) {
 	return 0, fmt.Errorf("storage: Increment %s on %s: %w", name, b.dir, ErrReadOnly)
 }
 
-// Stats reports the binding count from memory and blob statistics the
-// cheapest accurate way available: a view of a compacted store whose
-// journal tail it has not applied any entries from serves the exact
-// figures recorded in the snapshot header (nothing can have been added
-// without a tail binding); otherwise it walks the blob tree — the walk
-// is per-call, so this is a diagnostic, not a hot path.
+// Stats reports the binding count as of the last Refresh plus blob
+// statistics walked from the blob tree on every call, exactly as the
+// writer's Stats does: a diagnostic, not a hot path.
 func (b *FSReadBackend) Stats() (Stats, error) {
-	b.mu.RLock()
-	bindings := len(b.names)
-	gen, validEnd := b.gen, b.validEnd
-	b.mu.RUnlock()
-	if gen > 0 && validEnd == 0 {
-		if hdr, ok, err := readSnapshotHeader(b.dir); err == nil && ok && hdr.Generation == gen {
-			return Stats{Blobs: hdr.Blobs, Bindings: bindings, Bytes: hdr.BlobBytes}, nil
-		}
-	}
-	st := Stats{Bindings: bindings}
-	hashes, err := fsListBlobs(b.dir)
-	if err != nil {
-		return st, err
-	}
-	st.Blobs = len(hashes)
-	for _, h := range hashes {
-		if fi, err := os.Stat(filepath.Join(b.dir, "blobs", h[:2], h)); err == nil {
-			st.Bytes += fi.Size()
-		}
-	}
-	return st, nil
-}
-
-// Info extends Stats with the view's snapshot generation and journal
-// figures — `spsys store stats` against a store another process holds
-// the writer lock on.
-func (b *FSReadBackend) Info() (StoreInfo, error) {
-	st, err := b.Stats()
-	if err != nil {
-		return StoreInfo{Stats: st}, err
-	}
-	b.mu.RLock()
-	info := StoreInfo{Stats: st, Generation: b.gen, JournalBytes: b.validEnd}
-	b.mu.RUnlock()
-	if fi, err := os.Stat(snapshotPath(b.dir)); err == nil {
-		info.SnapshotBytes = fi.Size()
-	}
-	return info, nil
+	st, err := walkBlobStats(b.dir)
+	st.Bindings = b.NameCount()
+	return st, err
 }
 
 // Position identifies how much name history the view has applied: the

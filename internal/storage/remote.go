@@ -651,18 +651,6 @@ func (b *RemoteBackend) Stats() (Stats, error) {
 	return st, nil
 }
 
-// Info extends Stats with the remote position figures, so `spsys store
-// stats -store http://...` shows the same shape as a directory.
-func (b *RemoteBackend) Info() (StoreInfo, error) {
-	st, err := b.Stats()
-	if err != nil {
-		return StoreInfo{Stats: st}, err
-	}
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return StoreInfo{Stats: st, Generation: b.pos.Generation, JournalBytes: b.pos.Offset}, nil
-}
-
 // Position reports the remote position the mirror covers. Because it is
 // the *source's* position, derived state keyed by it (the bookkeep
 // index segment a primary saved) validates against the remote view too.

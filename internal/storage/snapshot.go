@@ -15,7 +15,7 @@ import (
 // history. The format is one JSON header line followed by one journal
 // entry line per binding, sorted by name:
 //
-//	{"format":1,"generation":3,"bindings":2,"blobs":9,"blob_bytes":512,"crc":"9ae1f2c4"}
+//	{"format":1,"generation":3,"bindings":2,"crc":"9ae1f2c4"}
 //	{"n":"meta/runseq","h":"ab..."}
 //	{"n":"runs/run-0001","h":"cd..."}
 //
@@ -30,9 +30,11 @@ import (
 //   - bindings + crc (CRC-32C of the body bytes): load-time integrity.
 //     A snapshot that fails either check is an error, never silently
 //     partial — the journal prefix it replaced is gone.
-//   - blobs/blob_bytes: exact blob statistics at compaction time, so a
-//     reopen of a compacted store with an empty journal tail skips the
-//     O(blobs) tree walk entirely.
+//
+// The header carries no blob statistics: those are walked from the blob
+// tree on request (see walkBlobStats). Snapshots written by earlier
+// versions carry "blobs" and "blob_bytes" fields; the decoder ignores
+// them.
 //
 // A store without names.snapshot is a pre-compaction (PR 4 era) store
 // and loads exactly as before: full journal replay, generation 0.
@@ -48,8 +50,6 @@ type snapshotHeader struct {
 	Format     int    `json:"format"`
 	Generation int    `json:"generation"`
 	Bindings   int    `json:"bindings"`
-	Blobs      int    `json:"blobs"`
-	BlobBytes  int64  `json:"blob_bytes"`
 	CRC        string `json:"crc"`
 }
 
@@ -143,15 +143,16 @@ func loadSnapshot(dir string) (names map[string]string, hdr snapshotHeader, ok b
 	return names, hdr, true, nil
 }
 
-// readSnapshotHeader returns the header of <dir>/names.snapshot without
-// loading its body. ok is false when the store has no snapshot.
-func readSnapshotHeader(dir string) (hdr snapshotHeader, ok bool, err error) {
+// readSnapshotGeneration returns the generation of <dir>/names.snapshot
+// from its header line alone — the cheap staleness probe a read-only
+// view runs on every Refresh. A store with no snapshot is generation 0.
+func readSnapshotGeneration(dir string) (int, error) {
 	f, err := os.Open(snapshotPath(dir))
 	if os.IsNotExist(err) {
-		return hdr, false, nil
+		return 0, nil
 	}
 	if err != nil {
-		return hdr, false, fmt.Errorf("storage: reading snapshot header: %w", err)
+		return 0, fmt.Errorf("storage: reading snapshot header: %w", err)
 	}
 	defer f.Close()
 	// The header is one short JSON line; 4 KiB is orders of magnitude
@@ -159,24 +160,17 @@ func readSnapshotHeader(dir string) (hdr snapshotHeader, ok bool, err error) {
 	buf := make([]byte, 4096)
 	n, err := f.Read(buf)
 	if n == 0 && err != nil {
-		return hdr, false, fmt.Errorf("storage: reading snapshot header: %w", err)
+		return 0, fmt.Errorf("storage: reading snapshot header: %w", err)
 	}
 	nl := bytes.IndexByte(buf[:n], '\n')
 	if nl < 0 {
-		return hdr, false, fmt.Errorf("storage: snapshot has no header line")
+		return 0, fmt.Errorf("storage: snapshot has no header line")
 	}
+	var hdr snapshotHeader
 	if err := json.Unmarshal(buf[:nl], &hdr); err != nil {
-		return hdr, false, fmt.Errorf("storage: corrupt snapshot header: %w", err)
+		return 0, fmt.Errorf("storage: corrupt snapshot header: %w", err)
 	}
-	return hdr, true, nil
-}
-
-// readSnapshotGeneration returns the generation of <dir>/names.snapshot
-// — the cheap staleness probe a read-only view runs on every Refresh. A
-// store with no snapshot is generation 0.
-func readSnapshotGeneration(dir string) (int, error) {
-	hdr, _, err := readSnapshotHeader(dir)
-	return hdr.Generation, err
+	return hdr.Generation, nil
 }
 
 // decodeJournalEntry parses one journal/snapshot entry line and

@@ -26,6 +26,7 @@ package storage
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 )
@@ -138,19 +139,25 @@ type StoreInfo struct {
 	SnapshotBytes int64
 }
 
-// Informer is implemented by backends that can report StoreInfo.
-type Informer interface {
-	Info() (StoreInfo, error)
-}
-
-// Info returns extended store statistics. Backends without snapshot
-// machinery report their plain Stats with zero snapshot figures.
+// Info returns extended store statistics: the backend's Stats, the
+// generation and journal tail of its Position, and, for a backend over
+// a store directory, the size of its snapshot file. Backends without
+// that machinery report zero for the figures they lack.
 func (s *Store) Info() (StoreInfo, error) {
-	if i, ok := s.backend.(Informer); ok {
-		return i.Info()
-	}
 	st, err := s.backend.Stats()
-	return StoreInfo{Stats: st}, err
+	info := StoreInfo{Stats: st}
+	if err != nil {
+		return info, err
+	}
+	if pos, ok := s.Position(); ok {
+		info.Generation, info.JournalBytes = pos.Generation, pos.Offset
+	}
+	if d, ok := s.backend.(dirred); ok {
+		if fi, err := os.Stat(snapshotPath(d.Dir())); err == nil {
+			info.SnapshotBytes = fi.Size()
+		}
+	}
+	return info, nil
 }
 
 // Position identifies a point in a backend's durable name history: the
