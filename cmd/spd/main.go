@@ -316,6 +316,13 @@ func runCycle(ctx context.Context, store *storage.Store, opts options, cycle int
 			sum, stats, err = engine.DrainPlan(ctx, plan, campaign.QueueOptions{
 				Worker: opts.id(),
 				TTL:    opts.leaseTTL,
+				// Every queue transition and failure reaches the log: a
+				// worker whose claims fail (a wrong -token, a primary that
+				// went away) retries after each poll and would otherwise
+				// do so in silence.
+				OnEvent: func(format string, args ...interface{}) {
+					fmt.Printf("spd: "+format+"\n", args...)
+				},
 			})
 		} else {
 			sum, err = engine.RunPlanContext(ctx, plan)

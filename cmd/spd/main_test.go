@@ -1,8 +1,13 @@
 package main
 
 import (
+	"bufio"
 	"context"
+	"net/http"
+	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -199,6 +204,63 @@ func TestWorkerDrainsOverHTTP(t *testing.T) {
 			t.Fatalf("cells executed by %q, want only w1", w)
 		}
 	}
+}
+
+// TestWorkerLogsRefusedClaims: a worker whose token the primary refuses
+// reads the store and plans, but every claim's write is rejected with
+// 401. Each refused claim must reach the log as an "spd: queue:" line;
+// without it the worker retries after each poll and prints nothing.
+func TestWorkerLogsRefusedClaims(t *testing.T) {
+	primary := storage.NewStore()
+	ts := httptest.NewServer(http.StripPrefix("/api/v1", storage.NewAPIHandler(primary, nil).EnableWrites("good")))
+	defer ts.Close()
+	o := quickOpts(ts.URL, 1)
+	o.worker, o.token, o.workerID = true, "WRONG", "w1"
+	// One engine worker: each failed claim sleeps one queue poll, and
+	// polls are serialized, so cancellation waits for one, not four.
+	o.workers = 1
+
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = stdout }()
+	// Drain the pipe to EOF so the daemon never blocks on a full pipe,
+	// forwarding the first claim failure.
+	refused := make(chan string, 1)
+	go func() {
+		sc := bufio.NewScanner(r)
+		for sc.Scan() {
+			if line := sc.Text(); strings.HasPrefix(line, "spd: queue: claiming ") {
+				select {
+				case refused <- line:
+				default:
+				}
+			}
+		}
+	}()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, o) }()
+	select {
+	case line := <-refused:
+		if !strings.Contains(line, "unauthorized") {
+			t.Errorf("claim failure line %q does not name the refusal", line)
+		}
+	case <-time.After(30 * time.Second):
+		t.Error("no refused claim was logged within 30s")
+	}
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("worker did not stop after cancellation")
+	}
+	w.Close()
 }
 
 // A worker (or listening primary) without a token must refuse to start:

@@ -26,11 +26,10 @@ type follower struct {
 	mu sync.Mutex
 	// lastPos is the source position the replica is known to cover —
 	// the position Sync sampled before its last completed transfer.
-	lastPos   storage.Position // guarded by mu
-	lastPosOK bool             // guarded by mu
-	syncs     int              // guarded by mu
-	skips     int              // guarded by mu
-	lastErr   error            // guarded by mu
+	lastPos storage.Position // guarded by mu
+	syncs   int              // guarded by mu
+	skips   int              // guarded by mu
+	lastErr error            // guarded by mu
 }
 
 // newFollower opens the source URL and the replica directory. The
@@ -63,15 +62,15 @@ func newFollower(sourceURL, replicaDir string, every time.Duration) (*follower, 
 // sync runs one replication pass and records its outcome for /healthz.
 // A converged follower short-circuits: when the last pass completed and
 // the primary's /position has not moved since, the tick costs one probe
-// instead of Sync's full name walk. Any doubt — probe failure, a
-// positionless source, a moved or regressed position — falls through to
-// the full pass, which remains the correctness path.
+// instead of Sync's full name walk. Any doubt — probe failure, a moved
+// or regressed position — falls through to the full pass, which remains
+// the correctness path.
 func (f *follower) sync() error {
 	f.mu.Lock()
-	last, lastOK, converged := f.lastPos, f.lastPosOK, f.syncs > 0 && f.lastErr == nil
+	last, converged := f.lastPos, f.syncs > 0 && f.lastErr == nil
 	f.mu.Unlock()
-	if converged && lastOK {
-		if doc, err := f.rb.RemotePosition(); err == nil && doc.PositionOK && doc.Position == last {
+	if converged {
+		if doc, err := f.rb.RemotePosition(); err == nil && doc.Position == last {
 			f.mu.Lock()
 			f.skips++
 			f.mu.Unlock()
@@ -87,7 +86,7 @@ func (f *follower) sync() error {
 	}
 	f.lastErr = nil
 	f.syncs++
-	f.lastPos, f.lastPosOK = st.SourcePos, st.SourcePosOK
+	f.lastPos = st.SourcePos
 	return nil
 }
 
@@ -120,7 +119,7 @@ func (f *follower) FollowStatus() serve.FollowStatus {
 		Syncs: f.syncs, SkippedSyncs: f.skips, LagBytes: -1}
 	if probeErr != nil {
 		fs.SourceErr = probeErr.Error()
-	} else if doc.PositionOK && f.lastPosOK && doc.Position.Generation == f.lastPos.Generation {
+	} else if f.syncs > 0 && doc.Position.Generation == f.lastPos.Generation {
 		fs.LagBytes = doc.Position.Offset - f.lastPos.Offset
 	}
 	if f.lastErr != nil {

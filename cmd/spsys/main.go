@@ -761,9 +761,7 @@ func runStoreSync(args []string) (err error) {
 	}
 	fmt.Printf("synced %s -> %s: %d blobs (%d bytes), %d bindings (source: %d names, %d blobs)\n",
 		srcName, dstName, st.BlobsCopied, st.BlobBytes, st.BindingsBound, st.NamesSeen, st.BlobsSeen)
-	if st.SourcePosOK {
-		fmt.Printf("  covers source position generation %d offset %d\n", st.SourcePos.Generation, st.SourcePos.Offset)
-	}
+	fmt.Printf("  covers source position generation %d offset %d\n", st.SourcePos.Generation, st.SourcePos.Offset)
 	return nil
 }
 

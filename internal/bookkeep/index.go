@@ -120,8 +120,7 @@ type Index struct {
 	latest map[cellKey]string  // guarded by mu; run ID of each cell's latest run
 	count  map[cellKey]int     // guarded by mu; total runs recorded per cell
 	green  map[string]string   // guarded by mu; input digest -> latest fully passing run ID
-	pos    storage.Position    // guarded by mu; store history position covered by the index
-	posOK  bool                // guarded by mu
+	pos    storage.Position    // guarded by mu; store history position covered by the index (zero: the empty history)
 }
 
 // NewIndex returns an empty index over the store. Call Refresh to load
@@ -153,8 +152,9 @@ func BuildIndex(store *storage.Store) (*Index, error) {
 
 // RebuildIndex is BuildIndex ignoring any persisted segment: every
 // record is decoded from its blob. This is the pre-segment behavior,
-// kept for the scaling benchmarks and as the recovery path for a
-// segment that fails validation.
+// kept for the scaling benchmarks and as the reference the segment
+// tests compare against; BuildIndex itself recovers from a segment that
+// fails validation.
 func RebuildIndex(store *storage.Store) (*Index, error) {
 	x := NewIndex(store)
 	if err := x.Refresh(); err != nil {
@@ -169,9 +169,9 @@ func RebuildIndex(store *storage.Store) (*Index, error) {
 // records not yet indexed are loaded from storage. Run records are
 // immutable once written, so an already-indexed ID is never reloaded.
 func (x *Index) Refresh() error {
-	pos, posOK := x.store.Position()
+	pos, _ := x.store.Position()
 	x.mu.RLock()
-	unchanged := posOK && x.posOK && pos == x.pos
+	unchanged := pos == x.pos
 	x.mu.RUnlock()
 	if unchanged {
 		return nil
@@ -179,13 +179,13 @@ func (x *Index) Refresh() error {
 	// The position was sampled before the enumeration below, so the
 	// index can only under-claim coverage — a run recorded in between is
 	// either listed now or picked up by the next Refresh.
-	return x.refreshIDs(runner.ListRuns(x.store), pos, posOK)
+	return x.refreshIDs(runner.ListRuns(x.store), pos)
 }
 
 // refreshIDs indexes the not-yet-indexed runs among ids, then records
 // coverage up to the given position — which the caller sampled *before*
 // enumerating ids.
-func (x *Index) refreshIDs(ids []string, pos storage.Position, posOK bool) error {
+func (x *Index) refreshIDs(ids []string, pos storage.Position) error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	for _, id := range ids {
@@ -198,7 +198,7 @@ func (x *Index) refreshIDs(ids []string, pos storage.Position, posOK bool) error
 		}
 		x.addLocked(Summarize(rec))
 	}
-	x.pos, x.posOK = pos, posOK
+	x.pos = pos
 	return nil
 }
 

@@ -339,7 +339,7 @@ func decodeSegment(data []byte) (segment, error) {
 // rejects the write.
 func (x *Index) SaveSegment(store *storage.Store) error {
 	x.mu.RLock()
-	seg := segment{metas: make([]*RunMeta, len(x.order))}
+	seg := segment{hasPos: true, metas: make([]*RunMeta, len(x.order))}
 	for i, id := range x.order {
 		seg.metas[i] = x.runs[id]
 	}
@@ -347,8 +347,7 @@ func (x *Index) SaveSegment(store *storage.Store) error {
 
 	// Phase 1: claim the current position. Byte-identical to the stored
 	// segment means neither the metas nor the store moved: nothing to do.
-	pos, posOK := store.Position()
-	seg.hasPos, seg.pos = posOK, pos
+	seg.pos, _ = store.Position()
 	current := encodeSegment(seg)
 	if prior, err := store.Hash(SegmentNS, segmentKey); err == nil && prior == storage.HashBytes(current) {
 		return nil
@@ -357,9 +356,7 @@ func (x *Index) SaveSegment(store *storage.Store) error {
 	// at after this very write lands (the segment's own binding line has
 	// constant length). If other appends interleave, the claim is merely
 	// wrong, and the next BuildIndex takes the full-validation path.
-	if posOK {
-		seg.pos.Offset += segmentBindLineLen
-	}
+	seg.pos.Offset += segmentBindLineLen
 	if _, err := store.Put(SegmentNS, segmentKey, encodeSegment(seg)); err != nil {
 		return fmt.Errorf("bookkeep: persisting index segment: %w", err)
 	}
@@ -381,8 +378,8 @@ func (x *Index) refreshFromSegment() error {
 	if err != nil || len(seg.metas) == 0 {
 		return x.Refresh()
 	}
-	pos, posOK := x.store.Position()
-	if seg.hasPos && posOK && seg.pos == pos {
+	pos, _ := x.store.Position()
+	if seg.hasPos && seg.pos == pos {
 		// Exact position match, plus a cheap identity probe: the
 		// segment's first and last runs must still resolve, so a
 		// recreated store that coincidentally reached the same byte
@@ -394,7 +391,7 @@ func (x *Index) refreshFromSegment() error {
 				// Nothing changed since the segment was written: coverage
 				// is complete without enumerating a single run ID. The
 				// trailing Refresh is a no-op position comparison.
-				x.pos, x.posOK = pos, posOK
+				x.pos = pos
 			}
 			x.mu.Unlock()
 			return x.Refresh()
@@ -421,7 +418,7 @@ func (x *Index) refreshFromSegment() error {
 		x.addSortedLocked(seg.metas)
 		x.mu.Unlock()
 	}
-	return x.refreshIDs(ids, pos, posOK)
+	return x.refreshIDs(ids, pos)
 }
 
 // addSortedLocked bulk-loads metas known to be in ascending run order

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,6 +48,38 @@ func recordRuns(t *testing.T, store *storage.Store, n int, exp string) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// listCounter counts the ListNames calls reaching the backend it wraps:
+// an index that lists no names answered from its position alone.
+type listCounter struct {
+	storage.Backend
+	lists atomic.Int64
+}
+
+func (c *listCounter) ListNames() ([]string, error) {
+	c.lists.Add(1)
+	return c.Backend.ListNames()
+}
+
+// forEachPositionedStore runs fn over an on-disk and an in-memory
+// store, each behind a listCounter. Both keep a history Position, so
+// the exact-position paths must be taken on either.
+func forEachPositionedStore(t *testing.T, fn func(t *testing.T, store *storage.Store, c *listCounter)) {
+	t.Run("disk", func(t *testing.T) {
+		b, err := storage.OpenFSBackend(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &listCounter{Backend: b}
+		store := storage.NewStoreWith(c)
+		defer store.Close()
+		fn(t, store, c)
+	})
+	t.Run("memory", func(t *testing.T) {
+		c := &listCounter{Backend: storage.NewMemoryBackend()}
+		fn(t, storage.NewStoreWith(c), c)
+	})
 }
 
 func matrixText(x *Index) string {
@@ -118,42 +151,39 @@ func TestSegmentRoundTripOnDisk(t *testing.T) {
 // deliberately tampered with — at a matching store position — shows up
 // verbatim in the index.
 func TestSegmentIsTrustedOnExactPosition(t *testing.T) {
-	dir := t.TempDir()
-	store, err := storage.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	recordRuns(t, store, 3, "H1")
-	x, err := RebuildIndex(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	metas := x.Runs()
-	metas[1].Description = "TAMPERED"
-	pos, ok := store.Position()
-	if !ok {
-		t.Fatal("disk store has no position")
-	}
-	// Claim the predicted post-put position — the same arithmetic
-	// SaveSegment relies on.
-	seg := segment{hasPos: true, pos: pos, metas: metas}
-	seg.pos.Offset += segmentBindLineLen
-	if _, err := store.Put(SegmentNS, "segment", encodeSegment(seg)); err != nil {
-		t.Fatal(err)
-	}
-	if now, _ := store.Position(); now != seg.pos {
-		t.Fatalf("post-put position %+v does not match the predicted claim %+v", now, seg.pos)
-	}
+	forEachPositionedStore(t, func(t *testing.T, store *storage.Store, c *listCounter) {
+		recordRuns(t, store, 3, "H1")
+		x, err := RebuildIndex(store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		metas := x.Runs()
+		metas[1].Description = "TAMPERED"
+		pos, _ := store.Position()
+		// Claim the predicted post-put position — the same arithmetic
+		// SaveSegment relies on.
+		seg := segment{hasPos: true, pos: pos, metas: metas}
+		seg.pos.Offset += segmentBindLineLen
+		if _, err := store.Put(SegmentNS, "segment", encodeSegment(seg)); err != nil {
+			t.Fatal(err)
+		}
+		if now, _ := store.Position(); now != seg.pos {
+			t.Fatalf("post-put position %+v does not match the predicted claim %+v", now, seg.pos)
+		}
 
-	x2, err := BuildIndex(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, ok := x2.Meta(metas[1].RunID)
-	if !ok || m.Description != "TAMPERED" {
-		t.Fatalf("index did not trust the position-matched segment: %+v", m)
-	}
+		c.lists.Store(0)
+		x2, err := BuildIndex(store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, ok := x2.Meta(metas[1].RunID)
+		if !ok || m.Description != "TAMPERED" {
+			t.Fatalf("index did not trust the position-matched segment: %+v", m)
+		}
+		if n := c.lists.Load(); n != 0 {
+			t.Fatalf("exact-position BuildIndex listed names %d times, want 0", n)
+		}
+	})
 }
 
 // TestSegmentFromRecreatedStoreIsDiscarded: a segment claiming runs the
@@ -296,43 +326,45 @@ func TestRunsPageCursor(t *testing.T) {
 	}
 }
 
-// TestRefreshPositionFastPath: over a positioned (on-disk) store, a
-// no-change Refresh takes the position short-circuit — observable as
-// the index not picking up a record smuggled in *behind* the position
-// bookkeeping (we re-bind an existing name so the journal grows, then
-// check a genuine Refresh does notice).
+// TestRefreshPositionFastPath: once a segment is saved, BuildIndex
+// takes the exact-position path and a no-change Refresh takes the
+// position short-circuit: neither lists a single name. New records move
+// the position and a Refresh picks them up.
 func TestRefreshPositionFastPath(t *testing.T) {
-	dir := t.TempDir()
-	store, err := storage.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	recordRuns(t, store, 2, "H1")
-	x, err := BuildIndex(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x.TotalRuns() != 2 {
-		t.Fatalf("TotalRuns = %d", x.TotalRuns())
-	}
-	// Unchanged store: refresh must be a no-op (and cheap — asserted
-	// structurally by the position equality, priced by the benchmark).
-	pos1, _ := store.Position()
-	if err := x.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	if pos2, _ := store.Position(); pos1 != pos2 {
-		t.Fatal("no-op refresh moved the store")
-	}
-	// New records move the position and are picked up.
-	recordRuns(t, store, 3, "H1")
-	if err := x.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	if x.TotalRuns() != 5 {
-		t.Fatalf("TotalRuns after refresh = %d, want 5", x.TotalRuns())
-	}
+	forEachPositionedStore(t, func(t *testing.T, store *storage.Store, c *listCounter) {
+		recordRuns(t, store, 2, "H1")
+		if _, err := bookkeepBuildAndSave(store); err != nil {
+			t.Fatal(err)
+		}
+		c.lists.Store(0)
+		x, err := BuildIndex(store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if x.TotalRuns() != 2 {
+			t.Fatalf("TotalRuns = %d", x.TotalRuns())
+		}
+		// Unchanged store: refresh must be a no-op (and cheap — no
+		// enumeration, priced by the benchmark).
+		pos1, _ := store.Position()
+		if err := x.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		if pos2, _ := store.Position(); pos1 != pos2 {
+			t.Fatal("no-op refresh moved the store")
+		}
+		if n := c.lists.Load(); n != 0 {
+			t.Fatalf("BuildIndex after SaveSegment plus an unchanged Refresh listed names %d times, want 0", n)
+		}
+		// New records move the position and are picked up.
+		recordRuns(t, store, 3, "H1")
+		if err := x.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		if x.TotalRuns() != 5 {
+			t.Fatalf("TotalRuns after refresh = %d, want 5", x.TotalRuns())
+		}
+	})
 }
 
 // TestSegmentCodecRoundTrip pins the custom wire format: encode →

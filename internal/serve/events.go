@@ -25,9 +25,8 @@ const (
 // EventData is every event's JSON payload.
 type EventData struct {
 	TotalRuns int `json:"total_runs"`
-	// Position is the served store's position after the change; absent
-	// on stores without positional history.
-	Position *storage.Position `json:"position,omitempty"`
+	// Position is the served store's position after the change.
+	Position storage.Position `json:"position"`
 }
 
 // Event is one /events emission. ID is the stream-wide sequence number

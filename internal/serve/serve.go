@@ -38,17 +38,14 @@
 // The validator is sampled before the body is rendered, mirroring the
 // under-claim discipline of Index.Refresh and the /names pages: under a
 // live writer a body can be newer than its ETag claims, never older,
-// and the next poll re-converges.
-//
-// Stores without positional history (the in-memory backend) fall back
-// to a served-content revision counter bumped whenever a refresh
-// observes a different (run count, plan binding) fingerprint.
+// and the next poll re-converges. Every backend keeps a Position (the
+// in-memory one advances it by the journal line each bind would
+// append), so there is no other validator.
 //
 // # The /events push vocabulary
 //
 // GET /events is a Server-Sent Events stream. Each event's data is a
-// JSON object carrying total_runs and (when the store has positional
-// history) the current position. Types:
+// JSON object carrying total_runs and the current position. Types:
 //
 //	run-recorded        a refresh observed the indexed run count grow
 //	plan-recorded       the latest campaign plan binding changed
@@ -167,18 +164,13 @@ type Server struct {
 	// off: the store position the served state is known to cover,
 	// sampled by the last refresh *before* the index caught up (the
 	// under-claim direction).
-	servedPos   storage.Position // guarded by mu
-	servedPosOK bool             // guarded by mu
-	// servedRev is the content-fingerprint fallback validator for
-	// positionless (in-memory) stores, bumped when a refresh observes a
-	// changed fingerprint.
-	servedRev int64 // guarded by mu
+	servedPos storage.Position // guarded by mu
 	// epoch increments when the served history regresses (store torn
 	// down and recreated); it is folded into every validator so tags
 	// minted against the old history can never match the new one.
 	epoch int64 // guarded by mu
 	// lastTotal and lastPlanHash are the change-detection fingerprint
-	// the refresh diffs to emit /events and advance servedRev.
+	// the refresh diffs to emit /events.
 	lastTotal    int    // guarded by mu
 	lastPlanHash string // guarded by mu
 }
@@ -213,7 +205,7 @@ func NewWith(store *storage.Store, o Options) (*Server, error) {
 	}
 	s.newHeartbeat = driverHeartbeat(every)
 	s.reloadPlanLocked()
-	s.servedPos, s.servedPosOK = store.Position()
+	s.servedPos, _ = store.Position()
 	s.lastTotal = x.TotalRuns()
 	s.lastPlanHash = s.planHash()
 	return s, nil
@@ -266,51 +258,42 @@ func (s *Server) refresh() {
 	// validator may under-claim (a run landing mid-catch-up is served
 	// but not yet claimed by the ETag) but never over-claim — the same
 	// discipline as Index.Refresh and the /names pages.
-	pos, posOK := s.store.Position()
+	pos, _ := s.store.Position()
 	s.lastErr = s.index.Refresh()
-	if posOK && s.servedPosOK && pos == s.servedPos && s.lastErr == nil {
+	if pos == s.servedPos && s.lastErr == nil {
 		return // journal unmoved: nothing changed behind this position
 	}
 	s.reloadPlanLocked()
-	s.observeLocked(pos, posOK)
+	s.observeLocked(pos)
 }
 
 // observeLocked diffs the freshly refreshed state against the last
 // served fingerprint: it advances the validator, publishes /events and
 // handles history regression. The caller holds s.mu.
-func (s *Server) observeLocked(pos storage.Position, posOK bool) {
+func (s *Server) observeLocked(pos storage.Position) {
 	total := s.index.TotalRuns()
 	planHash := s.planHash()
-	regressed := posOK && s.servedPosOK &&
-		(pos.Generation < s.servedPos.Generation ||
-			(pos.Generation == s.servedPos.Generation && pos.Offset < s.servedPos.Offset))
+	regressed := pos.Generation < s.servedPos.Generation ||
+		(pos.Generation == s.servedPos.Generation && pos.Offset < s.servedPos.Offset)
 	if regressed || total < s.lastTotal {
 		// The history shrank under us — the store was torn down and
 		// recreated. Fold a new epoch into every validator (the new
 		// history could coincidentally reach the old one's position) and
 		// drop every cached body.
 		s.epoch++
-		s.servedRev++
 		s.cache.purge()
 	}
-	data := EventData{TotalRuns: total}
-	if posOK {
-		p := pos
-		data.Position = &p
-	}
+	data := EventData{TotalRuns: total, Position: pos}
 	if total > s.lastTotal {
 		s.events.publish(Event{Type: EventRunRecorded, Data: data})
 	}
 	if planHash != s.lastPlanHash {
 		s.events.publish(Event{Type: EventPlanRecorded, Data: data})
 	}
-	if posOK && s.servedPosOK && pos.Generation != s.servedPos.Generation {
+	if pos.Generation != s.servedPos.Generation {
 		s.events.publish(Event{Type: EventGenerationChanged, Data: data})
 	}
-	if !posOK && (total != s.lastTotal || planHash != s.lastPlanHash) {
-		s.servedRev++
-	}
-	s.servedPos, s.servedPosOK = pos, posOK
+	s.servedPos = pos
 	s.lastTotal, s.lastPlanHash = total, planHash
 }
 
@@ -347,20 +330,16 @@ func (s *Server) reloadPlanLocked() {
 }
 
 // validatorCore returns the ETag/cache-key core for the current served
-// state: position-keyed when the store has positional history, the
-// served-content revision otherwise. The immutable form (per-run
-// pages) depends only on the epoch.
+// state: position-keyed, or for the immutable form (per-run pages)
+// dependent only on the epoch.
 func (s *Server) validatorCore(immutable bool) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if immutable {
 		return "sp" + report.SiteFormat() + "-imm" + strconv.FormatInt(s.epoch, 10)
 	}
-	if s.servedPosOK {
-		return fmt.Sprintf("sp%s-g%d-o%d-e%d",
-			report.SiteFormat(), s.servedPos.Generation, s.servedPos.Offset, s.epoch)
-	}
-	return "sp" + report.SiteFormat() + "-r" + strconv.FormatInt(s.servedRev, 10)
+	return fmt.Sprintf("sp%s-g%d-o%d-e%d",
+		report.SiteFormat(), s.servedPos.Generation, s.servedPos.Offset, s.epoch)
 }
 
 // rendered is one render closure's output. A nil return means the
@@ -712,17 +691,17 @@ type cacheStatsDoc struct {
 }
 
 // healthDoc is the /healthz body. Position carries the served store's
-// journal position + snapshot generation (absent on stores without
-// positional history); Follow appears on replicas; Cache reports the
-// serving tier's render-cache and conditional-GET counters.
+// journal position + snapshot generation; Follow appears on replicas;
+// Cache reports the serving tier's render-cache and conditional-GET
+// counters.
 type healthDoc struct {
-	Status   string            `json:"status"`
-	Runs     int               `json:"runs"`
-	Position *storage.Position `json:"position,omitempty"`
-	Follow   *FollowStatus     `json:"follow,omitempty"`
-	Cache    *cacheStatsDoc    `json:"cache,omitempty"`
-	Leases   *leaseStatsDoc    `json:"leases,omitempty"`
-	LastErr  string            `json:"last_error,omitempty"`
+	Status   string           `json:"status"`
+	Runs     int              `json:"runs"`
+	Position storage.Position `json:"position"`
+	Follow   *FollowStatus    `json:"follow,omitempty"`
+	Cache    *cacheStatsDoc   `json:"cache,omitempty"`
+	Leases   *leaseStatsDoc   `json:"leases,omitempty"`
+	LastErr  string           `json:"last_error,omitempty"`
 }
 
 // leaseStatsDoc is the /healthz distributed-execution block, derived
@@ -755,9 +734,7 @@ func (s *Server) serveHealthz(w http.ResponseWriter, r *http.Request) {
 		// Still serving (from the last good state), but stale: say so.
 		doc.Status, code, doc.LastErr = "degraded", http.StatusServiceUnavailable, lastErr.Error()
 	}
-	if pos, ok := s.store.Position(); ok {
-		doc.Position = &pos
-	}
+	doc.Position, _ = s.store.Position()
 	entries, evictions := s.cache.stats()
 	doc.Cache = &cacheStatsDoc{
 		Entries:     entries,

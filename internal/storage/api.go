@@ -58,8 +58,9 @@ import (
 //	                       gone (compacted twice over on the writer,
 //	                       once under a read view), its offset is past
 //	                       the journal's end or not on an entry
-//	                       boundary, or the store keeps no journal (an
-//	                       in-memory store, a relay over a remote one).
+//	                       boundary, or the store keeps no journal file
+//	                       (an in-memory store, a relay over a remote
+//	                       one) and the position is not its own.
 //	                       The client then re-walks /names.
 //
 // Write routes (PUT /blob/{hash}, POST /name, POST /counter) exist but
@@ -68,8 +69,8 @@ import (
 //
 // The listing routes carry a strong position-keyed ETag
 // ("v1-g<gen>-o<off>", +gzip variant for the compressed
-// representation) on stores with positional history: a matching
-// If-None-Match answers 304 before any enumeration, and JSON bodies
+// representation) on every store: a matching If-None-Match answers
+// 304 before any enumeration, and JSON bodies
 // negotiate gzip via Accept-Encoding (Vary: Accept-Encoding). Blob
 // responses revalidate against their content-hash ETag the same way.
 //
@@ -113,9 +114,6 @@ type NamesPageDoc struct {
 	// client walking pages under a live writer uses it to detect that
 	// the store advanced mid-walk.
 	Position Position `json:"position"`
-	// PositionOK reports whether the serving backend has positional
-	// history at all (an in-memory store does not).
-	PositionOK bool `json:"position_ok"`
 }
 
 // BlobDoc is one blob in a BlobsPageDoc.
@@ -132,8 +130,7 @@ type BlobsPageDoc struct {
 
 // PositionDoc is the /position response.
 type PositionDoc struct {
-	Position   Position `json:"position"`
-	PositionOK bool     `json:"position_ok"`
+	Position Position `json:"position"`
 	// Bindings is the number of bound names — a cheap health figure for
 	// replicas and dashboards.
 	Bindings int `json:"bindings"`
@@ -215,12 +212,8 @@ func WriteAPIJSON(w http.ResponseWriter, v interface{}) {
 // positionCore derives the listing routes' validator core from the
 // store's position: the journal is append-only within a generation and
 // compaction bumps the generation, so "v1-g<gen>-o<off>" never names
-// two different histories. "" (no validator) when the backend has no
-// positional history.
-func positionCore(pos Position, posOK bool) string {
-	if !posOK {
-		return ""
-	}
+// two different histories.
+func positionCore(pos Position) string {
 	return fmt.Sprintf("v1-g%d-o%d", pos.Generation, pos.Offset)
 }
 
@@ -231,9 +224,6 @@ func positionCore(pos Position, posOK bool) string {
 // validator under-claims — it can miss content the body would carry,
 // never claim content it would not.
 func answerNotModified(w http.ResponseWriter, r *http.Request, core string) bool {
-	if core == "" {
-		return false
-	}
 	tag, ok := NoneMatch(r, `"`+core+`"`, `"`+core+`+gzip"`)
 	if !ok {
 		return false
@@ -478,8 +468,8 @@ func (h *APIHandler) serveNames(w http.ResponseWriter, r *http.Request) {
 	after, limit := ParsePageQuery(r)
 	// Position before enumeration: the page can only under-claim, never
 	// claim bindings it does not carry (mirrors Index.Refresh).
-	pos, posOK := h.store.Position()
-	core := positionCore(pos, posOK)
+	pos, _ := h.store.Position()
+	core := positionCore(pos)
 	if answerNotModified(w, r, core) {
 		return
 	}
@@ -490,10 +480,9 @@ func (h *APIHandler) serveNames(w http.ResponseWriter, r *http.Request) {
 	}
 	page, next := pageStrings(names, after, limit)
 	doc := NamesPageDoc{
-		Bindings:   make([]BindingDoc, 0, len(page)),
-		NextAfter:  next,
-		Position:   pos,
-		PositionOK: posOK,
+		Bindings:  make([]BindingDoc, 0, len(page)),
+		NextAfter: next,
+		Position:  pos,
 	}
 	for _, name := range page {
 		hash, ok := h.store.Backend().ResolveName(name)
@@ -517,8 +506,8 @@ func (h *APIHandler) serveBlobs(w http.ResponseWriter, r *http.Request) {
 	// copies), so an unchanged position means an unchanged listing. The
 	// one exception — an orphan PutBlob with no binding yet — is content
 	// nothing references; the next position advance re-serves it.
-	pos, posOK := h.store.Position()
-	core := positionCore(pos, posOK)
+	pos, _ := h.store.Position()
+	core := positionCore(pos)
 	if answerNotModified(w, r, core) {
 		return
 	}
@@ -546,12 +535,12 @@ func (h *APIHandler) servePosition(w http.ResponseWriter, r *http.Request) {
 	if !requireGet(w, r) {
 		return
 	}
-	pos, posOK := h.store.Position()
-	core := positionCore(pos, posOK)
+	pos, _ := h.store.Position()
+	core := positionCore(pos)
 	if answerNotModified(w, r, core) {
 		return
 	}
-	doc := PositionDoc{Position: pos, PositionOK: posOK, Bindings: h.store.Backend().NameCount()}
+	doc := PositionDoc{Position: pos, Bindings: h.store.Backend().NameCount()}
 	writeNegotiatedJSON(w, r, doc, core)
 }
 
@@ -573,13 +562,12 @@ func (h *APIHandler) serveJournal(w http.ResponseWriter, r *http.Request) {
 	}
 	_, limit := ParsePageQuery(r)
 	from := Position{Generation: gen, Offset: off}
-	pos, posOK := h.store.Position()
-	if posOK && pos == from {
+	if pos, _ := h.store.Position(); pos == from {
 		writeNegotiatedJSON(w, r, JournalDoc{Bindings: []BindingDoc{}, Position: pos}, "")
 		return
 	}
 	jr, ok := h.store.Backend().(JournalReader)
-	if !ok || !posOK {
+	if !ok {
 		WriteAPIError(w, http.StatusConflict, "position_gone",
 			"this store keeps no journal to tail; walk /names")
 		return

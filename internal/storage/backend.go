@@ -8,14 +8,22 @@ import (
 // Backend is a storage engine underneath a Store. The Store owns the
 // public API — name validation, hashing of blob contents (outside any
 // backend lock), snapshots — and delegates the actual keeping of bytes
-// to a Backend. Two implementations ship with the framework:
+// to a Backend. Four implementations ship with the framework:
 //
 //   - the in-memory backend (NewMemoryBackend, the default behind
 //     NewStore), which preserves the original sp-system semantics for
-//     tests and simulations, and
+//     tests and simulations;
 //   - the on-disk content-addressed backend (OpenFSBackend, behind
 //     Open), which survives process exit — the property the paper's
-//     keep-everything policy actually requires.
+//     keep-everything policy actually requires;
+//   - the read-only view of an on-disk store another process writes
+//     (OpenReadOnlyFSBackend, behind OpenReadOnly); and
+//   - the remote view of a store served over the store API
+//     (OpenRemoteBackend, behind OpenRemote), writable with a token.
+//
+// All four keep their bindings and history Position in one embedded
+// name table (nametable.go), which implements the name-reading methods
+// below.
 //
 // A Backend must be safe for concurrent use by any number of
 // goroutines. Names passed to the binding methods are pre-validated
@@ -44,6 +52,9 @@ type Backend interface {
 	ListNames() ([]string, error)
 	// NameCount returns the number of bound names without listing them.
 	NameCount() int
+	// Position returns how much name history the bindings cover. ok is
+	// always true; see (*Store).Position.
+	Position() (Position, bool)
 
 	// Increment atomically increments the integer counter bound to the
 	// name and returns the new value. A missing binding counts from

@@ -86,16 +86,14 @@ type FSBackend struct {
 	lock     *os.File // held flock enforcing one live writer (nil where unsupported)
 	syncMode SyncMode
 
-	mu        sync.RWMutex
-	names     map[string]string // guarded by mu; replayed + live journal state
-	counters  map[string]int    // guarded by mu; cached Increment values (avoids per-increment disk reads)
-	log       *os.File          // guarded by mu; append-only names.log handle
-	logFailed bool              // guarded by mu; a journal append failed; the tail may be torn
-
-	// Snapshot / compaction state.
-	gen        int    // guarded by mu; generation of the snapshot this state is built on (0: none)
-	journalEnd int64  // guarded by mu; acknowledged bytes in the live journal tail
-	compacted  []byte // guarded by mu; journal of generation gen-1, folded away by this handle's last Compact (nil: none); immutable once set
+	// nameTable holds the replayed + live journal state; its pos is the
+	// snapshot generation this state is built on plus the acknowledged
+	// bytes of the live journal tail.
+	nameTable
+	counters  map[string]int // guarded by mu; cached Increment values (avoids per-increment disk reads)
+	log       *os.File       // guarded by mu; append-only names.log handle
+	logFailed bool           // guarded by mu; a journal append failed; the tail may be torn
+	compacted []byte         // guarded by mu; journal of the generation before pos's, folded away by this handle's last Compact (nil: none); immutable once set
 
 	// Group-commit state (see appendLocked).
 	gcBuf      []byte // guarded by mu
@@ -171,8 +169,9 @@ func OpenFSBackendWith(dir string, opts Options) (*FSBackend, error) {
 	}
 	b := &FSBackend{
 		dir: dir, lock: lock, syncMode: opts.Sync,
-		names: make(map[string]string), counters: make(map[string]int),
-		gcSeq: 1,
+		nameTable: nameTable{names: make(map[string]string)},
+		counters:  make(map[string]int),
+		gcSeq:     1,
 	}
 	b.gcCond = sync.NewCond(&b.mu)
 	fail := func(err error) (*FSBackend, error) {
@@ -188,7 +187,7 @@ func OpenFSBackendWith(dir string, opts Options) (*FSBackend, error) {
 	}
 	if hasSnap {
 		b.names = snapNames
-		b.gen = hdr.Generation
+		b.pos.Generation = hdr.Generation
 	}
 	if err := b.replayJournal(); err != nil {
 		return fail(err)
@@ -269,22 +268,22 @@ func scanJournal(r io.Reader, startOffset int64, limit int, apply func(name, has
 }
 
 // ReadJournal implements JournalReader from names.log. Only
-// acknowledged bytes are served (up to journalEnd, sampled with the
-// generation). The file is read outside b.mu, so appends proceed; a
-// Compact bumps the generation, under b.mu, before it truncates the
-// journal, so a generation still unchanged after the read proves the
-// bytes read were this generation's. A position one compaction behind
+// acknowledged bytes are served (up to the position's offset, sampled
+// with its generation). The file is read outside b.mu, so appends
+// proceed; a Compact bumps the generation, under b.mu, before it
+// truncates the journal, so a generation still unchanged after the read
+// proves the bytes read were this generation's. A position one compaction behind
 // is served from the journal that compaction folded away (kept in
 // memory, see Compact): the rest of that generation, then the current
 // one from its start, where its snapshot stands.
 func (b *FSBackend) ReadJournal(from Position, limit int) (JournalDoc, error) {
 	b.mu.RLock()
-	gen, end, compacted := b.gen, b.journalEnd, b.compacted
+	gen, end, compacted := b.pos.Generation, b.pos.Offset, b.compacted
 	b.mu.RUnlock()
 	stillGen := func() bool {
 		b.mu.RLock()
 		defer b.mu.RUnlock()
-		return b.gen == gen
+		return b.pos.Generation == gen
 	}
 	if compacted == nil || from.Generation != gen-1 {
 		return readJournal(b.journalPath(), nil, gen, end, from, limit, stillGen)
@@ -420,7 +419,7 @@ func (b *FSBackend) replayJournal() (err error) {
 			return fmt.Errorf("storage: truncating torn name journal tail: %w", err)
 		}
 	}
-	b.journalEnd = validEnd
+	b.pos.Offset = validEnd
 	return nil
 }
 
@@ -641,15 +640,11 @@ func (b *FSBackend) BindName(name, hash string) error {
 	if err := b.writableLocked(); err != nil {
 		return err
 	}
-	line, err := json.Marshal(journalEntry{Name: name, Hash: hash})
-	if err != nil {
-		return err
-	}
 	// An explicit rebind may overwrite a counter with arbitrary content;
 	// drop the cache so the next Increment re-reads the binding.
 	delete(b.counters, name)
 	b.names[name] = hash
-	return b.appendLocked(append(line, '\n'))
+	return b.appendLocked(journalLine(name, hash))
 }
 
 // CompareAndSwapName implements Swapper: the current-value check and
@@ -670,15 +665,11 @@ func (b *FSBackend) CompareAndSwapName(name, oldHash, newHash string) (bool, err
 	if b.names[name] != oldHash {
 		return false, nil
 	}
-	line, err := json.Marshal(journalEntry{Name: name, Hash: newHash})
-	if err != nil {
-		return false, err
-	}
 	// Same caution as BindName: the swapped-in blob may not be a counter;
 	// drop any cached value so the next Increment re-reads the binding.
 	delete(b.counters, name)
 	b.names[name] = newHash
-	if err := b.appendLocked(append(line, '\n')); err != nil {
+	if err := b.appendLocked(journalLine(name, newHash)); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -770,7 +761,7 @@ func (b *FSBackend) appendLocked(line []byte) error {
 			// the drain in Close/Compact terminates.
 			b.gcBuf, b.gcCount = nil, 0
 		} else {
-			b.journalEnd += int64(len(buf))
+			b.pos.Offset += int64(len(buf))
 		}
 		b.gcCond.Broadcast()
 	}
@@ -793,33 +784,6 @@ func (b *FSBackend) drainCommitsLocked() {
 		}
 		b.gcCond.Wait()
 	}
-}
-
-// ResolveName returns the hash bound to the name.
-func (b *FSBackend) ResolveName(name string) (string, bool) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	hash, ok := b.names[name]
-	return hash, ok
-}
-
-// ListNames returns all bound names, sorted.
-func (b *FSBackend) ListNames() ([]string, error) {
-	b.mu.RLock()
-	out := make([]string, 0, len(b.names))
-	for nk := range b.names {
-		out = append(out, nk)
-	}
-	b.mu.RUnlock()
-	sort.Strings(out)
-	return out, nil
-}
-
-// NameCount returns the number of bound names without listing them.
-func (b *FSBackend) NameCount() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.names)
 }
 
 // Increment performs the counter read-modify-write under the name lock,
@@ -859,13 +823,9 @@ func (b *FSBackend) Increment(name string) (int, error) {
 	if err := b.PutBlob(hash, data); err != nil {
 		return 0, err
 	}
-	line, err := json.Marshal(journalEntry{Name: name, Hash: hash})
-	if err != nil {
-		return 0, err
-	}
 	b.counters[name] = n
 	b.names[name] = hash
-	if err := b.appendLocked(append(line, '\n')); err != nil {
+	if err := b.appendLocked(journalLine(name, hash)); err != nil {
 		return 0, err
 	}
 	return n, nil
@@ -878,17 +838,6 @@ func (b *FSBackend) Stats() (Stats, error) {
 	st, err := walkBlobStats(b.dir)
 	st.Bindings = b.NameCount()
 	return st, err
-}
-
-// Position identifies how much durable name history this backend has
-// applied: the snapshot generation plus the byte offset of acknowledged
-// journal content. Consumers that persist derived state (the bookkeep
-// index segment) key it by this position so a later process can tell
-// "nothing changed" apart from "decode the tail".
-func (b *FSBackend) Position() (Position, bool) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return Position{Generation: b.gen, Offset: b.journalEnd}, true
 }
 
 // CompactStats reports what a Compact call did.
@@ -940,7 +889,7 @@ func (b *FSBackend) Compact() (CompactStats, error) {
 	if err := b.writableLocked(); err != nil {
 		return CompactStats{}, err
 	}
-	hdr := snapshotHeader{Generation: b.gen + 1}
+	hdr := snapshotHeader{Generation: b.pos.Generation + 1}
 	head, body, err := encodeSnapshot(hdr, b.names)
 	if err != nil {
 		return CompactStats{}, err
@@ -948,7 +897,7 @@ func (b *FSBackend) Compact() (CompactStats, error) {
 	stats := CompactStats{
 		Generation:    hdr.Generation,
 		Bindings:      len(b.names),
-		JournalBytes:  b.journalEnd,
+		JournalBytes:  b.pos.Offset,
 		SnapshotBytes: int64(len(head) + len(body)),
 	}
 
@@ -991,7 +940,7 @@ func (b *FSBackend) Compact() (CompactStats, error) {
 	// generation G+1 even if a later step fails — otherwise a repeated
 	// compaction could reuse the on-disk generation number for different
 	// content and defeat the readers' staleness check.
-	b.gen, b.compacted = hdr.Generation, nil
+	b.pos.Generation, b.compacted = hdr.Generation, nil
 	if err := b.syncDir(b.dir); err != nil {
 		return stats, err
 	}
@@ -1004,7 +953,7 @@ func (b *FSBackend) Compact() (CompactStats, error) {
 	// compaction behind without a full walk. Reading it back is an
 	// optimization: if the read fails, such a view walks.
 	compacted, err := os.ReadFile(b.journalPath())
-	if err != nil || int64(len(compacted)) != b.journalEnd {
+	if err != nil || int64(len(compacted)) != b.pos.Offset {
 		compacted = nil
 	}
 	if err := b.log.Truncate(0); err != nil {
@@ -1020,7 +969,7 @@ func (b *FSBackend) Compact() (CompactStats, error) {
 			return stats, fmt.Errorf("storage: syncing truncated journal: %w", err)
 		}
 	}
-	b.journalEnd, b.compacted = 0, compacted
+	b.pos.Offset, b.compacted = 0, compacted
 	return stats, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // MemoryBackend keeps blobs and name bindings in process memory — the
@@ -12,17 +11,21 @@ import (
 // simulations and benchmarks. Everything evaporates on process exit;
 // use the on-disk backend (Open / OpenFSBackend) for actual long-term
 // preservation.
+//
+// It keeps no journal, but its Position advances by the length of the
+// names.log line each bind would append, so position-keyed consumers
+// (index refresh, segment claims, served validators) run the same path
+// over it as over a disk store.
 type MemoryBackend struct {
-	mu    sync.RWMutex
-	blobs map[string][]byte // SHA-256 hex -> content
-	names map[string]string // "namespace/key" -> blob hash
+	nameTable
+	blobs map[string][]byte // guarded by mu; SHA-256 hex -> content
 }
 
 // NewMemoryBackend returns an empty in-memory backend.
 func NewMemoryBackend() *MemoryBackend {
 	return &MemoryBackend{
-		blobs: make(map[string][]byte),
-		names: make(map[string]string),
+		nameTable: nameTable{names: make(map[string]string)},
+		blobs:     make(map[string][]byte),
 	}
 }
 
@@ -36,7 +39,7 @@ func (m *MemoryBackend) PutBlob(hash string, data []byte) error {
 	return nil
 }
 
-// putBlobLocked inserts a blob. The caller must hold m.mu.
+// putBlobLocked inserts a blob. The caller holds m.mu.
 func (m *MemoryBackend) putBlobLocked(hash string, data []byte) {
 	if _, ok := m.blobs[hash]; !ok {
 		cp := make([]byte, len(data))
@@ -82,35 +85,15 @@ func (m *MemoryBackend) ListBlobs() ([]string, error) {
 func (m *MemoryBackend) BindName(name, hash string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.names[name] = hash
+	m.bindLocked(name, hash)
 	return nil
 }
 
-// ResolveName returns the hash bound to the name.
-func (m *MemoryBackend) ResolveName(name string) (string, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	hash, ok := m.names[name]
-	return hash, ok
-}
-
-// ListNames returns all bound names, sorted.
-func (m *MemoryBackend) ListNames() ([]string, error) {
-	m.mu.RLock()
-	out := make([]string, 0, len(m.names))
-	for nk := range m.names {
-		out = append(out, nk)
-	}
-	m.mu.RUnlock()
-	sort.Strings(out)
-	return out, nil
-}
-
-// NameCount returns the number of bound names without listing them.
-func (m *MemoryBackend) NameCount() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.names)
+// bindLocked records a binding and advances the position by the
+// journal line it stands for. The caller holds m.mu.
+func (m *MemoryBackend) bindLocked(name, hash string) {
+	m.names[name] = hash
+	m.pos.Offset += int64(len(journalLine(name, hash)))
 }
 
 // Increment atomically increments the counter bound to the name. The
@@ -131,7 +114,7 @@ func (m *MemoryBackend) Increment(name string) (int, error) {
 	data, _ := json.Marshal(n)
 	hash := HashBytes(data)
 	m.putBlobLocked(hash, data)
-	m.names[name] = hash
+	m.bindLocked(name, hash)
 	return n, nil
 }
 

@@ -5,8 +5,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
 )
 
 // FSReadBackend is a live, read-only view of the on-disk store: the
@@ -43,12 +41,12 @@ type FSReadBackend struct {
 	dir  string
 	lock *os.File // held shared flock (nil where unsupported)
 
-	mu       sync.RWMutex
-	names    map[string]string // guarded by mu
-	gen      int               // guarded by mu; snapshot generation the state is built on (0: none)
-	validEnd int64             // guarded by mu; journal offset just past the last applied entry
-	journal  os.FileInfo       // guarded by mu; identity of the journal last tailed (nil before it exists)
-	closed   bool              // guarded by mu
+	// nameTable holds the applied bindings; its pos is the snapshot
+	// generation the state is built on plus the journal offset just past
+	// the last applied entry.
+	nameTable
+	journal os.FileInfo // guarded by mu; identity of the journal last tailed (nil before it exists)
+	closed  bool        // guarded by mu
 }
 
 // ErrReadOnly is wrapped by every mutation attempted on a read-only
@@ -72,7 +70,7 @@ func OpenReadOnlyFSBackend(dir string) (*FSReadBackend, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &FSReadBackend{dir: dir, lock: lock, names: make(map[string]string)}
+	b := &FSReadBackend{dir: dir, lock: lock, nameTable: nameTable{names: make(map[string]string)}}
 	if err := b.Refresh(); err != nil {
 		if lock != nil {
 			//spvet:allow syncclose — refresh failed; its error is the result and the lock file carries no data
@@ -127,12 +125,12 @@ func (b *FSReadBackend) Refresh() error {
 		// retry semantics.
 		return b.reloadLocked()
 	}
-	if gen != b.gen {
+	if gen != b.pos.Generation {
 		return b.reloadLocked()
 	}
 	f, err := os.Open(b.journalPath())
 	if os.IsNotExist(err) {
-		if b.validEnd != 0 {
+		if b.pos.Offset != 0 {
 			// The journal vanished beneath applied entries: the store was
 			// deleted or re-created. Reload from whatever is there now.
 			return b.reloadLocked()
@@ -153,14 +151,14 @@ func (b *FSReadBackend) Refresh() error {
 	// below an applied entry), means the store was compacted by a new
 	// writer or deleted and re-created: reload rather than tailing from
 	// a stale offset.
-	if (b.journal != nil && !os.SameFile(b.journal, fi)) || fi.Size() < b.validEnd {
+	if (b.journal != nil && !os.SameFile(b.journal, fi)) || fi.Size() < b.pos.Offset {
 		return b.reloadLocked()
 	}
 	b.journal = fi
-	if fi.Size() == b.validEnd {
+	if fi.Size() == b.pos.Offset {
 		return nil
 	}
-	if err := b.tailFrom(f, b.validEnd, b.names); err != nil {
+	if err := b.tailLocked(f); err != nil {
 		// A re-tail that finds corruption may simply be reading an
 		// unrelated journal from a stale offset: a re-created store can
 		// reuse the old journal's inode (defeating the identity check
@@ -176,7 +174,7 @@ func (b *FSReadBackend) Refresh() error {
 	// inode, larger size — invisible to both checks), making the bytes
 	// just applied belong to the new journal. If the generation moved
 	// during the read, discard and reload from the covering snapshot.
-	if gen, err := readSnapshotGeneration(b.dir); err != nil || gen != b.gen {
+	if gen, err := readSnapshotGeneration(b.dir); err != nil || gen != b.pos.Generation {
 		return b.reloadLocked()
 	}
 	return nil
@@ -241,7 +239,7 @@ func (b *FSReadBackend) reloadLocked() error {
 			lastErr = err
 			continue
 		}
-		b.names, b.gen, b.validEnd, b.journal = names, gen, validEnd, journal
+		b.names, b.pos, b.journal = names, Position{Generation: gen, Offset: validEnd}, journal
 		return nil
 	}
 	if lastErr == nil {
@@ -250,15 +248,15 @@ func (b *FSReadBackend) reloadLocked() error {
 	return fmt.Errorf("storage: store at %s is compacting faster than it can be loaded: %w", b.dir, lastErr)
 }
 
-// tailFrom scans journal entries from the given offset to EOF, applying
-// them into names and advancing validEnd past the last applied entry.
+// tailLocked scans journal entries from the applied offset to EOF,
+// applying them and advancing the offset past the last applied entry.
 // The caller holds b.mu.
-func (b *FSReadBackend) tailFrom(f *os.File, offset int64, names map[string]string) error {
-	if _, err := f.Seek(offset, io.SeekStart); err != nil {
+func (b *FSReadBackend) tailLocked(f *os.File) error {
+	if _, err := f.Seek(b.pos.Offset, io.SeekStart); err != nil {
 		return fmt.Errorf("storage: seeking name journal: %w", err)
 	}
-	validEnd, _, err := scanJournal(f, offset, 0, func(name, hash string) { names[name] = hash })
-	b.validEnd = validEnd
+	validEnd, _, err := scanJournal(f, b.pos.Offset, 0, func(name, hash string) { b.names[name] = hash })
+	b.pos.Offset = validEnd
 	return err
 }
 
@@ -273,34 +271,6 @@ func (b *FSReadBackend) HasBlob(hash string) bool { return fsHasBlob(b.dir, hash
 // ListBlobs walks the blob tree and returns all hashes, sorted.
 func (b *FSReadBackend) ListBlobs() ([]string, error) { return fsListBlobs(b.dir) }
 
-// ResolveName returns the hash bound to the name as of the last
-// Refresh.
-func (b *FSReadBackend) ResolveName(name string) (string, bool) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	hash, ok := b.names[name]
-	return hash, ok
-}
-
-// ListNames returns all names bound as of the last Refresh, sorted.
-func (b *FSReadBackend) ListNames() ([]string, error) {
-	b.mu.RLock()
-	out := make([]string, 0, len(b.names))
-	for nk := range b.names {
-		out = append(out, nk)
-	}
-	b.mu.RUnlock()
-	sort.Strings(out)
-	return out, nil
-}
-
-// NameCount returns the number of names bound as of the last Refresh.
-func (b *FSReadBackend) NameCount() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.names)
-}
-
 // ReadJournal implements JournalReader from names.log, up to the
 // offset the view has applied: a client of the view never gets ahead
 // of the view's own /names and /position. The writer is another
@@ -312,7 +282,7 @@ func (b *FSReadBackend) NameCount() int {
 // line-boundary and parse checks catch it, as they do for Refresh.
 func (b *FSReadBackend) ReadJournal(from Position, limit int) (JournalDoc, error) {
 	b.mu.RLock()
-	gen, end, journal := b.gen, b.validEnd, b.journal
+	gen, end, journal := b.pos.Generation, b.pos.Offset, b.journal
 	b.mu.RUnlock()
 	return readJournal(b.journalPath(), journal, gen, end, from, limit, func() bool {
 		g, err := readSnapshotGeneration(b.dir)
@@ -343,15 +313,6 @@ func (b *FSReadBackend) Stats() (Stats, error) {
 	st, err := walkBlobStats(b.dir)
 	st.Bindings = b.NameCount()
 	return st, err
-}
-
-// Position identifies how much name history the view has applied: the
-// snapshot generation plus the journal offset of the last applied
-// entry. See (*FSBackend).Position.
-func (b *FSReadBackend) Position() (Position, bool) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return Position{Generation: b.gen, Offset: b.validEnd}, true
 }
 
 // Close releases the shared reader lock. The view keeps answering

@@ -75,10 +75,12 @@ type RemoteBackend struct {
 	// older position.
 	refreshMu sync.Mutex
 
-	mu      sync.RWMutex
-	names   map[string]string // guarded by mu; mirror of the remote bindings
-	pos     Position          // guarded by mu; remote position the mirror covers
-	posOK   bool              // guarded by mu
+	// nameTable is the mirror of the remote bindings; its pos is the
+	// remote position the mirror covers, so derived state keyed by it
+	// (the bookkeep index segment a primary saved) validates against the
+	// remote view too.
+	nameTable
+	walked  bool              // guarded by mu; a /names walk has set pos, so Refresh can tail from it
 	written map[string]string // guarded by mu; this backend's writes since the running Refresh began (nil: none running)
 }
 
@@ -141,13 +143,13 @@ func OpenRemoteBackend(baseURL string, opts RemoteOptions) (*RemoteBackend, erro
 		backoff = 200 * time.Millisecond
 	}
 	b := &RemoteBackend{
-		base:    strings.TrimRight(baseURL, "/"),
-		client:  client,
-		retries: retries,
-		backoff: backoff,
-		sleep:   cron.Sleeper(),
-		token:   opts.Token,
-		names:   make(map[string]string),
+		base:      strings.TrimRight(baseURL, "/"),
+		client:    client,
+		retries:   retries,
+		backoff:   backoff,
+		sleep:     cron.Sleeper(),
+		token:     opts.Token,
+		nameTable: nameTable{names: make(map[string]string)},
 	}
 	if err := b.Refresh(); err != nil {
 		// The unreachable/API errors below already name the store and
@@ -301,15 +303,15 @@ const namesPageLimit = 5000
 // Refresh catches the name mirror up with the remote store. The
 // steady-state path is one /journal GET from the position the mirror
 // covers, whose delta (empty when nothing changed) is applied in place;
-// see tail. The full /names walk runs only at open, when the remote has
-// no positional history, or when the primary answers that it cannot
-// serve the position. Mirrors (*FSReadBackend).Refresh. Writes this
-// backend makes while a Refresh runs survive it.
+// see tail. The full /names walk runs only at open, or when the primary
+// answers that it cannot serve the position. Mirrors
+// (*FSReadBackend).Refresh. Writes this backend makes while a Refresh
+// runs survive it.
 func (b *RemoteBackend) Refresh() error {
 	b.refreshMu.Lock()
 	defer b.refreshMu.Unlock()
 	b.mu.Lock()
-	from, tail := b.pos, b.posOK
+	from, tail := b.pos, b.walked
 	b.written = make(map[string]string)
 	b.mu.Unlock()
 	defer func() {
@@ -388,7 +390,6 @@ func (b *RemoteBackend) tail(from Position) error {
 func (b *RemoteBackend) walk() error {
 	names := make(map[string]string)
 	var pos Position
-	posOK := false
 	after := ""
 	for first := true; ; first = false {
 		q := url.Values{"limit": {fmt.Sprint(namesPageLimit)}}
@@ -400,7 +401,7 @@ func (b *RemoteBackend) walk() error {
 			return err
 		}
 		if first {
-			pos, posOK = page.Position, page.PositionOK
+			pos = page.Position
 		}
 		for _, bind := range page.Bindings {
 			if err := b.checkBinding(bind); err != nil {
@@ -414,7 +415,7 @@ func (b *RemoteBackend) walk() error {
 		after = page.NextAfter
 	}
 	b.mu.Lock()
-	b.names, b.pos, b.posOK = names, pos, posOK
+	b.names, b.pos, b.walked = names, pos, true
 	b.keepWrittenLocked()
 	b.mu.Unlock()
 	return nil
@@ -517,33 +518,6 @@ func (b *RemoteBackend) ListBlobSizes() ([]BlobDoc, error) {
 	return out, nil
 }
 
-// ResolveName answers from the mirror as of the last Refresh.
-func (b *RemoteBackend) ResolveName(name string) (string, bool) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	hash, ok := b.names[name]
-	return hash, ok
-}
-
-// ListNames returns all mirrored names, sorted.
-func (b *RemoteBackend) ListNames() ([]string, error) {
-	b.mu.RLock()
-	out := make([]string, 0, len(b.names))
-	for nk := range b.names {
-		out = append(out, nk)
-	}
-	b.mu.RUnlock()
-	sort.Strings(out)
-	return out, nil
-}
-
-// NameCount returns the number of mirrored names.
-func (b *RemoteBackend) NameCount() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.names)
-}
-
 // Writable reports whether the backend was opened with a write token.
 func (b *RemoteBackend) Writable() bool { return b.token != "" }
 
@@ -636,10 +610,7 @@ func (b *RemoteBackend) Increment(name string) (int, error) {
 // through the paged blob listing — a diagnostic walk, like the read
 // view's.
 func (b *RemoteBackend) Stats() (Stats, error) {
-	b.mu.RLock()
-	bindings := len(b.names)
-	b.mu.RUnlock()
-	st := Stats{Bindings: bindings}
+	st := Stats{Bindings: b.NameCount()}
 	blobs, err := b.ListBlobSizes()
 	if err != nil {
 		return st, err
@@ -649,15 +620,6 @@ func (b *RemoteBackend) Stats() (Stats, error) {
 		st.Bytes += bd.Size
 	}
 	return st, nil
-}
-
-// Position reports the remote position the mirror covers. Because it is
-// the *source's* position, derived state keyed by it (the bookkeep
-// index segment a primary saved) validates against the remote view too.
-func (b *RemoteBackend) Position() (Position, bool) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.pos, b.posOK
 }
 
 // SetSleep replaces the retry backoff's sleep function — the seam

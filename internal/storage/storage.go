@@ -141,17 +141,16 @@ type StoreInfo struct {
 
 // Info returns extended store statistics: the backend's Stats, the
 // generation and journal tail of its Position, and, for a backend over
-// a store directory, the size of its snapshot file. Backends without
-// that machinery report zero for the figures they lack.
+// a store directory, the size of its snapshot file (zero for the
+// others).
 func (s *Store) Info() (StoreInfo, error) {
 	st, err := s.backend.Stats()
 	info := StoreInfo{Stats: st}
 	if err != nil {
 		return info, err
 	}
-	if pos, ok := s.Position(); ok {
-		info.Generation, info.JournalBytes = pos.Generation, pos.Offset
-	}
+	pos, _ := s.Position()
+	info.Generation, info.JournalBytes = pos.Generation, pos.Offset
 	if d, ok := s.backend.(dirred); ok {
 		if fi, err := os.Stat(snapshotPath(d.Dir())); err == nil {
 			info.SnapshotBytes = fi.Size()
@@ -160,29 +159,21 @@ func (s *Store) Info() (StoreInfo, error) {
 	return info, nil
 }
 
-// Position identifies a point in a backend's durable name history: the
+// Position identifies a point in a backend's name history: the
 // snapshot generation plus the byte offset of applied journal content.
 // Derived state persisted into the store (the bookkeep index segment)
 // is keyed by the Position it covers, so a later consumer can tell
-// "nothing changed since" from "catch up on the tail".
+// "nothing changed since" from "catch up on the tail". The zero
+// Position covers the empty history.
 type Position struct {
 	Generation int   `json:"generation"`
 	Offset     int64 `json:"offset"`
 }
 
-// Positioner is implemented by backends whose history has a Position —
-// the on-disk writer backend and the read-only view.
-type Positioner interface {
-	Position() (Position, bool)
-}
-
-// Position returns the backend's current history position. ok is false
-// for backends without positional history (the in-memory store).
+// Position returns the backend's current history position. ok is
+// always true: every backend keeps a Position.
 func (s *Store) Position() (Position, bool) {
-	if p, ok := s.backend.(Positioner); ok {
-		return p.Position()
-	}
-	return Position{}, false
+	return s.backend.Position()
 }
 
 // PutBlob stores content and returns its SHA-256 hash. Storing the same

@@ -56,6 +56,6 @@ func (m *MemoryBackend) CompareAndSwapName(name, oldHash, newHash string) (bool,
 	if m.names[name] != oldHash {
 		return false, nil
 	}
-	m.names[name] = newHash
+	m.bindLocked(name, newHash)
 	return true, nil
 }

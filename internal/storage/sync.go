@@ -32,10 +32,8 @@ type SyncStats struct {
 	// SourcePos is the source's history position sampled before the
 	// transfer began — the position the destination is guaranteed to
 	// cover once Sync returns. A follower records it to compute
-	// replication lag. SourcePosOK is false for sources without
-	// positional history (the in-memory store).
-	SourcePos   Position `json:"source_position"`
-	SourcePosOK bool     `json:"source_position_ok"`
+	// replication lag.
+	SourcePos Position `json:"source_position"`
 }
 
 // Sync makes dst cover everything src holds: every blob, every name
@@ -51,7 +49,7 @@ func Sync(src, dst *Store) (SyncStats, error) {
 	if err := src.Refresh(); err != nil {
 		return st, fmt.Errorf("storage: sync: refreshing source: %w", err)
 	}
-	st.SourcePos, st.SourcePosOK = src.Position()
+	st.SourcePos, _ = src.Position()
 
 	sb, db := src.Backend(), dst.Backend()
 

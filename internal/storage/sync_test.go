@@ -103,8 +103,8 @@ func TestSyncDirToDir(t *testing.T) {
 		t.Fatalf("SyncStats.BlobBytes = %d, source holds %d", st.BlobBytes, srcStats.Bytes)
 	}
 	wantPos, _ := src.Position()
-	if !st.SourcePosOK || st.SourcePos != wantPos {
-		t.Fatalf("SyncStats position = %+v/%v, want %+v", st.SourcePos, st.SourcePosOK, wantPos)
+	if st.SourcePos != wantPos {
+		t.Fatalf("SyncStats position = %+v, want %+v", st.SourcePos, wantPos)
 	}
 }
 
