@@ -208,17 +208,16 @@ func TestWorkerDrainsOverHTTP(t *testing.T) {
 
 // TestWorkerLogsRefusedClaims: a worker whose token the primary refuses
 // reads the store and plans, but every claim's write is rejected with
-// 401. Each refused claim must reach the log as an "spd: queue:" line;
-// without it the worker retries after each poll and prints nothing.
+// 401. The refused claim must reach the log as an "spd: queue:" line,
+// and the worker must stop on its own with an error naming the refusal:
+// no poll can turn a wrong token into a right one.
 func TestWorkerLogsRefusedClaims(t *testing.T) {
 	primary := storage.NewStore()
 	ts := httptest.NewServer(http.StripPrefix("/api/v1", storage.NewAPIHandler(primary, nil).EnableWrites("good")))
 	defer ts.Close()
 	o := quickOpts(ts.URL, 1)
 	o.worker, o.token, o.workerID = true, "WRONG", "w1"
-	// One engine worker: each failed claim sleeps one queue poll, and
-	// polls are serialized, so cancellation waits for one, not four.
-	o.workers = 1
+	o.workers = 4
 
 	r, w, err := os.Pipe()
 	if err != nil {
@@ -228,39 +227,34 @@ func TestWorkerLogsRefusedClaims(t *testing.T) {
 	os.Stdout = w
 	defer func() { os.Stdout = stdout }()
 	// Drain the pipe to EOF so the daemon never blocks on a full pipe,
-	// forwarding the first claim failure.
-	refused := make(chan string, 1)
+	// keeping the first claim failure.
+	var refused string
+	scanned := make(chan struct{})
 	go func() {
+		defer close(scanned)
 		sc := bufio.NewScanner(r)
 		for sc.Scan() {
-			if line := sc.Text(); strings.HasPrefix(line, "spd: queue: claiming ") {
-				select {
-				case refused <- line:
-				default:
-				}
+			if line := sc.Text(); refused == "" && strings.HasPrefix(line, "spd: queue: claiming ") {
+				refused = line
 			}
 		}
 	}()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	done := make(chan error, 1)
-	go func() { done <- run(ctx, o) }()
+	go func() { done <- run(context.Background(), o) }()
 	select {
-	case line := <-refused:
-		if !strings.Contains(line, "unauthorized") {
-			t.Errorf("claim failure line %q does not name the refusal", line)
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "unauthorized") {
+			t.Errorf("refused worker returned %v, want an error naming the refusal", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Error("no refused claim was logged within 30s")
-	}
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("worker did not stop after cancellation")
+		t.Fatal("refused worker did not stop on its own within 30s")
 	}
 	w.Close()
+	<-scanned
+	if !strings.Contains(refused, "unauthorized") {
+		t.Errorf("claim failure line %q does not name the refusal", refused)
+	}
 }
 
 // A worker (or listening primary) without a token must refuse to start:

@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
@@ -105,40 +107,90 @@ func TestCampaignDurabilityRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDiskIncrementConcurrent hammers the disk backend's atomic counter
-// from many goroutines (run under -race in CI): every handed-out value
-// must be unique — the property run/job ID minting depends on.
+// TestDiskIncrementConcurrent hammers the atomic counter from many
+// goroutines (run under -race in CI), each reserving blocks of mixed
+// sizes as runs of different job counts do: no value may be handed out
+// twice — the property run/job ID minting depends on. It runs on the
+// memory and disk backends and over the write API, where half the
+// goroutines reserve through a remote worker's view of the primary.
 func TestDiskIncrementConcurrent(t *testing.T) {
-	store, err := storage.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	const goroutines, perG = 8, 25
-	var mu sync.Mutex
-	seen := make(map[int]bool)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				n, err := store.Increment("meta", "jobseq")
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				mu.Lock()
-				if seen[n] {
-					t.Errorf("counter value %d handed out twice", n)
-				}
-				seen[n] = true
-				mu.Unlock()
+	const token = "tok"
+	stores := map[string]func(t *testing.T) (local, remote *storage.Store){
+		"memory": func(t *testing.T) (*storage.Store, *storage.Store) {
+			s := storage.NewStore()
+			return s, s
+		},
+		"disk": func(t *testing.T) (*storage.Store, *storage.Store) {
+			s, err := storage.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
+			t.Cleanup(func() { s.Close() })
+			return s, s
+		},
+		"remote": func(t *testing.T) (*storage.Store, *storage.Store) {
+			primary, err := storage.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { primary.Close() })
+			ts := httptest.NewServer(http.StripPrefix("/api/v1", storage.NewAPIHandler(primary, nil).EnableWrites(token)))
+			t.Cleanup(ts.Close)
+			worker, err := storage.OpenRemoteWith(ts.URL, storage.RemoteOptions{Token: token})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return primary, worker
+		},
 	}
-	wg.Wait()
-	if len(seen) != goroutines*perG {
-		t.Fatalf("distinct values = %d, want %d", len(seen), goroutines*perG)
+	for name, open := range stores {
+		t.Run(name, func(t *testing.T) {
+			local, remote := open(t)
+			const goroutines, perG = 8, 25
+			var mu sync.Mutex
+			seen := make(map[int]bool)
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				store := local
+				if g%2 == 1 {
+					store = remote
+				}
+				wg.Add(1)
+				go func(g int, store *storage.Store) {
+					defer wg.Done()
+					for i := 0; i < perG; i++ {
+						n := 1 + (g+i)%5
+						last, err := store.Increment("meta", "jobseq", n)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						mu.Lock()
+						for v := last - n + 1; v <= last; v++ {
+							if seen[v] {
+								t.Errorf("counter value %d handed out twice", v)
+							}
+							seen[v] = true
+						}
+						mu.Unlock()
+					}
+				}(g, store)
+			}
+			wg.Wait()
+			want := 0
+			for g := 0; g < goroutines; g++ {
+				for i := 0; i < perG; i++ {
+					want += 1 + (g+i)%5
+				}
+			}
+			if len(seen) != want {
+				t.Fatalf("distinct values = %d, want %d", len(seen), want)
+			}
+			for v := 1; v <= want; v++ {
+				if !seen[v] {
+					t.Fatalf("value %d never handed out: the blocks leave a gap", v)
+				}
+			}
+		})
 	}
 }

@@ -197,7 +197,7 @@ func TestLegacyRecordWithoutDigestIsStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Keep the mint sequence ahead of the hand-written ID.
-	if _, err := store.Increment("meta", "runseq"); err != nil {
+	if _, err := store.Increment("meta", "runseq", 1); err != nil {
 		t.Fatal(err)
 	}
 

@@ -11,6 +11,7 @@ package campaign
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -87,7 +88,10 @@ func (e *Engine) RunPlanContext(ctx context.Context, plan *Plan) (*Summary, erro
 // reports peer-completed cells as skips carrying the peer's run ID; a
 // peer's done lease satisfies a migration barrier. Cancellation is
 // RunPlanContext's, and a cell claimed but not yet started is released
-// for immediate re-claim.
+// for immediate re-claim. A claim the store refuses outright (it wraps
+// storage.ErrReadOnly: a wrong token, a primary without writes) ends
+// the drain once in-flight cells finish, and DrainPlan returns that
+// error: no poll can change the verdict.
 func (e *Engine) DrainPlan(ctx context.Context, plan *Plan, opts QueueOptions) (*Summary, *QueueStats, error) {
 	return e.drain(ctx, plan, &opts)
 }
@@ -108,6 +112,7 @@ type drain struct {
 	stats      QueueStats   // guarded by mu
 	busySeq    []int        // guarded by mu; refreshSeq of the cell's last ClaimBusy verdict
 	refreshSeq int          // guarded by mu; bumped after every poll
+	refused    error        // guarded by mu; the claim refusal that ends the drain
 	pollMu     sync.Mutex   // serializes polls
 }
 
@@ -165,6 +170,12 @@ func (e *Engine) drain(ctx context.Context, plan *Plan, opts *QueueOptions) (*Su
 		}()
 	}
 	wg.Wait()
+	// A copy, not &d.stats: the caller may keep the stats, and a pointer
+	// into d would keep the whole system of the drain alive with them.
+	stats := d.stats
+	if d.refused != nil {
+		return nil, &stats, d.refused
+	}
 
 	// Cells never started (cancellation) report the context error.
 	for i, st := range d.state {
@@ -176,9 +187,6 @@ func (e *Engine) drain(ctx context.Context, plan *Plan, opts *QueueOptions) (*Su
 	if err != nil {
 		return nil, nil, fmt.Errorf("campaign: aggregating matrix: %w", err)
 	}
-	// A copy, not &d.stats: the caller may keep the stats, and a pointer
-	// into d would keep the whole system of the drain alive with them.
-	stats := d.stats
 	return &Summary{Outcomes: d.outcomes, Plan: plan, Matrix: x.Matrix(), TotalRuns: x.TotalRuns()}, &stats, nil
 }
 
@@ -193,7 +201,7 @@ func (d *drain) work(ctx context.Context) {
 		case i >= 0:
 			d.claimLease(ctx, i)
 		case peer:
-			d.poll()
+			d.poll(ctx)
 		default:
 			return
 		}
@@ -204,12 +212,12 @@ func (d *drain) work(ctx context.Context) {
 // barriers done, and not found held by a peer since the last poll. With
 // no cell ready it waits while only this process's own cells are in the
 // way; it returns -1 with peer set when a peer holds a remaining cell
-// (the caller polls), and -1 alone once every cell is done or the
-// context is cancelled.
+// (the caller polls), and -1 alone once every cell is done, the
+// context is cancelled or a claim was refused.
 func (d *drain) next(ctx context.Context) (int, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for ctx.Err() == nil {
+	for ctx.Err() == nil && d.refused == nil {
 		open, peer := false, false
 		for i, st := range d.state {
 			if st == cellDone {
@@ -271,10 +279,16 @@ func (d *drain) busy(i int) {
 
 // poll is the wait for a peer: one poll interval, then a store refresh
 // (how a remote worker observes peers' lease transitions). Serialized
-// so concurrent idle goroutines don't multiply refresh walks.
-func (d *drain) poll() {
+// so concurrent idle goroutines don't multiply refresh walks; a
+// goroutine that gets its turn after the drain was cancelled returns
+// at once, so a cancelled drain waits for at most the one poll already
+// sleeping.
+func (d *drain) poll(ctx context.Context) {
 	d.pollMu.Lock()
 	defer d.pollMu.Unlock()
+	if ctx.Err() != nil {
+		return
+	}
 	d.mu.Lock()
 	d.stats.Waits++
 	d.mu.Unlock()
@@ -294,13 +308,25 @@ func (d *drain) claimLease(ctx context.Context, i int) {
 	label := pc.Cell.Label()
 	lease, status, rec, err := d.mgr.Claim(queueDigest(pc), label)
 	switch {
+	case errors.Is(err, storage.ErrReadOnly):
+		// The store refused the write itself: every later claim would
+		// be refused alike, so the drain ends with the refusal.
+		d.logf("queue: claiming %s: %v", label, err)
+		d.mu.Lock()
+		if d.refused == nil {
+			d.refused = fmt.Errorf("campaign: claiming %s: %w", label, err)
+		}
+		d.state[i] = cellPending
+		d.changed.Broadcast()
+		d.mu.Unlock()
+		return
 	case err != nil:
 		// A claim that cannot reach the store is retried after a poll
 		// like a busy cell; the store outage is surfaced once the context
 		// gives up.
 		d.logf("queue: claiming %s: %v", label, err)
 		d.busy(i)
-		d.poll()
+		d.poll(ctx)
 		return
 	case status == ClaimDone:
 		d.logf("queue: %s done by peer %s (%s)", label, rec.Worker, rec.RunID)

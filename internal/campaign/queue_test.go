@@ -2,7 +2,11 @@ package campaign
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -377,5 +381,104 @@ func TestDrainPlanRenewsLongCell(t *testing.T) {
 	recs := LoadLeases(store)
 	if len(recs) != 1 || recs[0].State != LeaseDone || recs[0].Renews == 0 {
 		t.Fatalf("lease records %+v, want one done lease renewed at least once", recs)
+	}
+}
+
+// failingSwapBackend is an in-memory store whose compare-and-swap (and
+// so every lease claim) fails with err, reporting each failure on
+// failed when there is room.
+type failingSwapBackend struct {
+	*storage.MemoryBackend
+	err    error
+	failed chan struct{}
+}
+
+func (b *failingSwapBackend) CompareAndSwapName(name, oldHash, newHash string) (bool, error) {
+	select {
+	case b.failed <- struct{}{}:
+	default:
+	}
+	return false, b.err
+}
+
+// failingClaimsPlan plans a validation of every experiment on every
+// test configuration (no migration barriers, so every cell is ready at
+// once) over a store whose claims all fail with err.
+func failingClaimsPlan(t *testing.T, err error, workers int) (*Engine, *Plan, *failingSwapBackend) {
+	t.Helper()
+	be := &failingSwapBackend{MemoryBackend: storage.NewMemoryBackend(), err: err, failed: make(chan struct{}, 64)}
+	sys := newSystemWith(t, storage.NewStoreWith(be))
+	exts := stdSet(t, sys)
+	baseline, targets := testConfigs()
+	var cells []Cell
+	for _, cfg := range append([]platform.Config{baseline}, targets...) {
+		for _, exp := range sys.Experiments() {
+			cells = append(cells, Cell{Experiment: exp, Config: cfg, Externals: exts, Mode: ModeValidate})
+		}
+	}
+	eng := New(sys, workers)
+	plan, perr := eng.Plan(cells)
+	if perr != nil {
+		t.Fatal(perr)
+	}
+	if plan.RunCount() < workers {
+		t.Fatalf("%d cells to run, want at least %d", plan.RunCount(), workers)
+	}
+	return eng, plan, be
+}
+
+// A drain cancelled while its claims are failing returns after the one
+// poll already sleeping: engine workers queued behind it for their own
+// poll see the cancellation and do not sleep a poll each.
+func TestCancelledDrainSleepsOnce(t *testing.T) {
+	const workers = 4
+	eng, plan, be := failingClaimsPlan(t, errors.New("primary unreachable"), workers)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var sleeps atomic.Int32
+	opts := quietQueueOpts(t, "w", newFakeClock())
+	opts.Sleep = func(time.Duration) {
+		if sleeps.Add(1) > 1 {
+			return
+		}
+		// Cancel once every engine worker's claim has failed, so all of
+		// them are on their way to a poll.
+		for n := 0; n < workers; n++ {
+			select {
+			case <-be.failed:
+			case <-time.After(10 * time.Second):
+				t.Errorf("only %d of %d claims failed", n, workers)
+				cancel()
+				return
+			}
+		}
+		cancel()
+	}
+	if _, _, err := eng.DrainPlan(ctx, plan, opts); err != nil {
+		t.Fatal(err)
+	}
+	if n := sleeps.Load(); n != 1 {
+		t.Fatalf("cancelled drain slept %d polls, want 1", n)
+	}
+}
+
+// A claim the store refuses outright (a wrong token, writes disabled)
+// ends the drain with that error at once: no poll can change it.
+func TestDrainPlanStopsOnRefusedClaim(t *testing.T) {
+	refusal := fmt.Errorf("remote store: missing or wrong bearer token (unauthorized): %w", storage.ErrReadOnly)
+	eng, plan, _ := failingClaimsPlan(t, refusal, 4)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := quietQueueOpts(t, "w", newFakeClock())
+	opts.Sleep = func(d time.Duration) {
+		t.Errorf("refused drain slept %v", d)
+		cancel()
+	}
+	_, stats, err := eng.DrainPlan(ctx, plan, opts)
+	if !errors.Is(err, storage.ErrReadOnly) || !strings.Contains(err.Error(), "unauthorized") {
+		t.Fatalf("DrainPlan = %v, want the refusal", err)
+	}
+	if stats == nil || stats.Executed != 0 {
+		t.Fatalf("stats %+v, want nothing executed", stats)
 	}
 }

@@ -35,7 +35,10 @@ type JobRecord struct {
 	Result valtest.Result `json:"result"`
 	// Timestamp is the Unix time of execution (simulated clock).
 	Timestamp int64 `json:"timestamp"`
-	// EnvKey is the storage key of the job's kept shell environment.
+	// EnvKey is the storage key of the job's kept shell environment:
+	// the run's one environment ("<runID>/env") for every job of a run,
+	// or the job's own ("<jobID>/env") in records written before runs
+	// kept one environment.
 	EnvKey string `json:"env_key"`
 }
 
@@ -108,7 +111,10 @@ func (r *RunRecord) Find(test string) (*JobRecord, bool) {
 const (
 	// RunsNS holds RunRecord JSON, keyed by run ID.
 	RunsNS = "runs"
-	// JobsNS holds kept job environments, keyed by job ID.
+	// JobsNS holds kept job environments, keyed by run ID: every job
+	// of a run ran in the same environment, so the run keeps one
+	// ("<runID>/env"). Older records' environments are keyed by job ID
+	// ("<jobID>/env") and carry SP_JOB_ID themselves.
 	JobsNS = "jobs"
 	// metaNS holds framework counters.
 	metaNS = "meta"
@@ -130,16 +136,17 @@ func New(store *storage.Store, clock *simclock.Clock) *Runner {
 	return &Runner{store: store, clock: clock, Workers: 4}
 }
 
-// nextSeq increments a named persistent counter. The increment is atomic
-// inside the store itself, so IDs stay unique across concurrent runs and
-// across Runner instances sharing a store — a Runner-local mutex could
-// not give the second guarantee.
-func (rn *Runner) nextSeq(name string) (int, error) {
-	n, err := rn.store.Increment(metaNS, name)
+// reserveSeq reserves a block of n values of a named persistent counter
+// and returns the first. The reservation is atomic inside the store
+// itself, so IDs stay unique across concurrent runs and across Runner
+// instances sharing a store — a Runner-local mutex could not give the
+// second guarantee.
+func reserveSeq(store *storage.Store, name string, n int) (int, error) {
+	last, err := store.Increment(metaNS, name, n)
 	if err != nil {
 		return 0, fmt.Errorf("runner: counter %s: %w", name, err)
 	}
-	return n, nil
+	return last - n + 1, nil
 }
 
 // Run executes the suite in the given context and records everything.
@@ -163,7 +170,7 @@ func (rn *Runner) RunWith(drv valtest.Driver, suite *valtest.Suite, base *valtes
 	if err != nil {
 		return nil, err
 	}
-	runSeq, err := rn.nextSeq("runseq")
+	runSeq, err := reserveSeq(rn.store, "runseq", 1)
 	if err != nil {
 		return nil, err
 	}
@@ -247,32 +254,31 @@ func (rn *Runner) RunWith(drv valtest.Driver, suite *valtest.Suite, base *valtes
 		rec.WallCost += seqCost + parCost
 	}
 
-	// Record jobs in the suite's topological order for stable output.
-	for _, t := range ordered {
-		res := results[t.Name()]
-		rec.SerialCost += res.Cost
-		jobSeq, err := rn.nextSeq("jobseq")
+	// Keep the run's full environment, per the paper's keep-everything
+	// policy: every job ran in it (jobContext), so one copy serves all
+	// of them, and LoadJobEnv adds each job's SP_JOB_ID back.
+	envKey := runID + "/env"
+	if _, err := rn.store.Put(JobsNS, envKey, []byte(jobContext(base, runID).Env.Render())); err != nil {
+		return nil, err
+	}
+	// Record jobs in the suite's topological order for stable output,
+	// numbered from one block reserved for the whole run.
+	if len(ordered) > 0 {
+		jobSeq, err := reserveSeq(rn.store, "jobseq", len(ordered))
 		if err != nil {
 			return nil, err
 		}
-		job := JobRecord{
-			JobID:     fmt.Sprintf("job-%06d", jobSeq),
-			RunID:     runID,
-			Result:    res,
-			Timestamp: rn.clock.Unix(),
+		for i, t := range ordered {
+			res := results[t.Name()]
+			rec.SerialCost += res.Cost
+			rec.Jobs = append(rec.Jobs, JobRecord{
+				JobID:     fmt.Sprintf("job-%06d", jobSeq+i),
+				RunID:     runID,
+				Result:    res,
+				Timestamp: rn.clock.Unix(),
+				EnvKey:    envKey,
+			})
 		}
-		// Keep the job's full environment, per the paper's
-		// keep-everything policy.
-		env := base.Env.Clone()
-		env[storage.EnvRunID] = runID
-		env[storage.EnvJobID] = job.JobID
-		env[storage.EnvWorkDir] = runID
-		envKey := job.JobID + "/env"
-		if _, err := rn.store.Put(JobsNS, envKey, []byte(env.Render())); err != nil {
-			return nil, err
-		}
-		job.EnvKey = envKey
-		rec.Jobs = append(rec.Jobs, job)
 	}
 
 	data, err := json.Marshal(rec)
@@ -466,11 +472,18 @@ func ListRuns(store *storage.Store) []string {
 	return ids
 }
 
-// LoadJobEnv retrieves the kept shell environment of a job.
+// LoadJobEnv retrieves the kept shell environment of a job, with the
+// job's SP_JOB_ID set from the record (the run's kept environment is
+// shared by all its jobs; an older per-job one already carries it).
 func LoadJobEnv(store *storage.Store, rec *JobRecord) (storage.Env, error) {
 	data, err := store.Get(JobsNS, rec.EnvKey)
 	if err != nil {
 		return nil, fmt.Errorf("runner: %w", err)
 	}
-	return storage.ParseEnv(string(data))
+	env, err := storage.ParseEnv(string(data))
+	if err != nil {
+		return nil, err
+	}
+	env[storage.EnvJobID] = rec.JobID
+	return env, nil
 }

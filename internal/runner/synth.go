@@ -29,9 +29,10 @@ type SynthOptions struct {
 // SynthesizeRuns appends n synthetic — but structurally valid — run
 // records to the store, for building large bookkeeping populations
 // without executing validation work: scaling benchmarks and the CI
-// large-store smoke job. Run (and job) IDs continue from the store's
-// persisted counters and the counters are advanced past them, so real
-// validation runs recorded afterwards mint non-colliding IDs. The
+// large-store smoke job. Run (and job) IDs come from blocks reserved
+// up front on the store's persisted counters, exactly as real runs
+// reserve theirs, so runs recorded before, during or after the
+// synthesis never collide with the synthesized ones. The
 // records index, page, diff and render exactly like real ones; they
 // carry no kept artifacts and no input digest (the planner treats them
 // as always-stale, like any pre-digest record).
@@ -48,15 +49,15 @@ func SynthesizeRuns(store *storage.Store, n int, opts SynthOptions) (firstID, la
 	if opts.JobsPerRun <= 0 {
 		opts.JobsPerRun = 2
 	}
-	runBase, err := counterValue(store, "runseq")
+	runFirst, err := reserveSeq(store, "runseq", n)
 	if err != nil {
 		return "", "", err
 	}
-	jobBase, err := counterValue(store, "jobseq")
+	jobFirst, err := reserveSeq(store, "jobseq", n*opts.JobsPerRun)
 	if err != nil {
 		return "", "", err
 	}
-	jobSeq := jobBase
+	runBase, jobSeq := runFirst-1, jobFirst-1
 	for i := 1; i <= n; i++ {
 		seq := runBase + i
 		runID := fmt.Sprintf("run-%04d", seq)
@@ -104,38 +105,5 @@ func SynthesizeRuns(store *storage.Store, n int, opts SynthOptions) (firstID, la
 		}
 		lastID = runID
 	}
-	// Advance the persisted counters past the synthesized IDs so later
-	// real runs stay unique.
-	if err := setCounter(store, "runseq", runBase+n); err != nil {
-		return "", "", err
-	}
-	if err := setCounter(store, "jobseq", jobSeq); err != nil {
-		return "", "", err
-	}
 	return firstID, lastID, nil
-}
-
-// counterValue reads a persistent counter's current value (0 when
-// unbound).
-func counterValue(store *storage.Store, name string) (int, error) {
-	if !store.Exists(metaNS, name) {
-		return 0, nil
-	}
-	data, err := store.Get(metaNS, name)
-	if err != nil {
-		return 0, fmt.Errorf("runner: counter %s: %w", name, err)
-	}
-	var n int
-	if err := json.Unmarshal(data, &n); err != nil {
-		return 0, fmt.Errorf("runner: counter %s is not an integer: %w", name, err)
-	}
-	return n, nil
-}
-
-// setCounter binds a persistent counter to an explicit value, in the
-// same JSON form Increment writes.
-func setCounter(store *storage.Store, name string, v int) error {
-	data, _ := json.Marshal(v)
-	_, err := store.Put(metaNS, name, data)
-	return err
 }

@@ -65,7 +65,11 @@ import (
 //
 // Write routes (PUT /blob/{hash}, POST /name, POST /counter) exist but
 // are disabled unless the serving process configured a shared token;
-// see writeapi.go for the contract and the auth model.
+// see writeapi.go for the contract and the auth model. POST /counter
+// reserves a block: its body's "n" (absent: 1) is added atomically and
+// echoed in the reply, and a client asking for more than one checks
+// the echo, because a primary that predates the field adds 1 and
+// would leave the client owning IDs it never reserved.
 //
 // The listing routes carry a strong position-keyed ETag
 // ("v1-g<gen>-o<off>", +gzip variant for the compressed

@@ -56,13 +56,16 @@ type Backend interface {
 	// always true; see (*Store).Position.
 	Position() (Position, bool)
 
-	// Increment atomically increments the integer counter bound to the
-	// name and returns the new value. A missing binding counts from
-	// zero. The counter is kept as an ordinary JSON blob binding, so it
-	// stays readable through ResolveName/GetBlob and survives in
-	// snapshots; the read-modify-write must be atomic with respect to
-	// every other Increment of the same backend.
-	Increment(name string) (int, error)
+	// Increment atomically adds n (n >= 1; anything less is an error)
+	// to the integer counter bound to the name and returns the new
+	// value, so the caller owns the block new-n+1 … new. A missing
+	// binding counts from zero. The runner reserves one such block per
+	// run, for all of the run's job IDs, in a single call. The counter
+	// is kept as an ordinary JSON blob binding, so it stays readable
+	// through ResolveName/GetBlob and survives in snapshots; the
+	// read-modify-write must be atomic with respect to every other
+	// Increment of the same backend.
+	Increment(name string, n int) (int, error)
 
 	// Stats summarizes stored contents.
 	Stats() (Stats, error)

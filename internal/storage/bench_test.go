@@ -55,7 +55,7 @@ func BenchmarkIncrement(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Increment("meta", "seq"); err != nil {
+				if _, err := s.Increment("meta", "seq", 1); err != nil {
 					b.Fatal(err)
 				}
 			}

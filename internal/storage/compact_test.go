@@ -32,7 +32,7 @@ func seedBindings(t *testing.T, s *Store, salt string) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := s.Increment("meta", "runseq"); err != nil {
+		if _, err := s.Increment("meta", "runseq", 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,7 +111,7 @@ func TestCompactRoundTrip(t *testing.T) {
 		t.Fatalf("post-compact append lost: %q, %v", got, err)
 	}
 	// The counter continues from its snapshotted value.
-	if n, err := re.Increment("meta", "runseq"); err != nil || n != 6 {
+	if n, err := re.Increment("meta", "runseq", 1); err != nil || n != 6 {
 		t.Fatalf("counter after compacted reopen = %d, %v, want 6", n, err)
 	}
 	if cs, err := re.Compact(); err != nil || cs.Generation != 2 {
@@ -165,7 +165,7 @@ func TestCompactCrashPointInterleavings(t *testing.T) {
 
 			// The recovered store keeps working: appends, counter
 			// continuity, and a clean compaction.
-			if n, err := re.Increment("meta", "runseq"); err != nil || n != 6 {
+			if n, err := re.Increment("meta", "runseq", 1); err != nil || n != 6 {
 				t.Fatalf("counter after recovery = %d, %v, want 6", n, err)
 			}
 			if _, err := re.Put("cfg", "after-crash", []byte("x")); err != nil {
@@ -410,7 +410,7 @@ func TestGroupCommitConcurrentWritersDurable(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := s.Increment("meta", "seq"); err != nil {
+				if _, err := s.Increment("meta", "seq", 1); err != nil {
 					errs <- err
 					return
 				}
@@ -431,7 +431,7 @@ func TestGroupCommitConcurrentWritersDurable(t *testing.T) {
 	if got := len(re.List("bulk")); got != writers*perWriter {
 		t.Fatalf("bulk bindings after reopen = %d, want %d", got, writers*perWriter)
 	}
-	if n, err := re.Increment("meta", "seq"); err != nil || n != writers*perWriter+1 {
+	if n, err := re.Increment("meta", "seq", 1); err != nil || n != writers*perWriter+1 {
 		t.Fatalf("counter after reopen = %d, %v, want %d", n, err, writers*perWriter+1)
 	}
 }
@@ -573,7 +573,7 @@ func TestJournalFailStopWedgesEverything(t *testing.T) {
 	if _, err := s.Put("bad", "second", []byte("y")); err == nil {
 		t.Fatal("bind after a journal failure succeeded (fail-stop violated)")
 	}
-	if _, err := s.Increment("meta", "seq"); err == nil {
+	if _, err := s.Increment("meta", "seq", 1); err == nil {
 		t.Fatal("increment after a journal failure succeeded")
 	}
 	if _, err := s.Compact(); err == nil {

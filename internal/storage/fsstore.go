@@ -787,8 +787,8 @@ func (b *FSBackend) drainCommitsLocked() {
 }
 
 // Increment performs the counter read-modify-write under the name lock,
-// so concurrent increments from any number of goroutines sharing the
-// backend hand out strictly unique values. The current value is cached
+// so concurrent reservations from any number of goroutines sharing the
+// backend hand out disjoint blocks. The current value is cached
 // after the first read, so steady-state increments pay only the tiny
 // blob write and journal append, not a disk read + hash verification
 // per ID minted. The new counter value is committed as a blob before
@@ -797,7 +797,10 @@ func (b *FSBackend) drainCommitsLocked() {
 // binding are updated *before* the group-commit wait (which may release
 // the lock), so a concurrent Increment that slips in during the wait
 // still observes the advanced value — IDs stay unique.
-func (b *FSBackend) Increment(name string) (int, error) {
+func (b *FSBackend) Increment(name string, by int) (int, error) {
+	if err := checkIncrement(name, by); err != nil {
+		return 0, err
+	}
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
 	b.mu.Lock()
@@ -817,7 +820,7 @@ func (b *FSBackend) Increment(name string) (int, error) {
 			}
 		}
 	}
-	n++
+	n += by
 	data, _ := json.Marshal(n)
 	hash := HashBytes(data)
 	if err := b.PutBlob(hash, data); err != nil {

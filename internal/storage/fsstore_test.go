@@ -27,7 +27,7 @@ func TestFSReopenIdenticalContents(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 7; i++ {
-		if _, err := s.Increment("meta", "runseq"); err != nil {
+		if _, err := s.Increment("meta", "runseq", 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,7 +59,7 @@ func TestFSReopenIdenticalContents(t *testing.T) {
 	}
 	// The counter continues from its persisted value, not from zero:
 	// run/job IDs stay unique across process restarts.
-	n, err := re.Increment("meta", "runseq")
+	n, err := re.Increment("meta", "runseq", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestFSClosedStoreErrors(t *testing.T) {
 	if _, err := s.Put("ns", "k", []byte("x")); err == nil {
 		t.Fatal("Put on closed store succeeded")
 	}
-	if _, err := s.Increment("meta", "seq"); err == nil {
+	if _, err := s.Increment("meta", "seq", 1); err == nil {
 		t.Fatal("Increment on closed store succeeded")
 	}
 	if err := s.Close(); err != nil {

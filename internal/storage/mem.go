@@ -96,10 +96,13 @@ func (m *MemoryBackend) bindLocked(name, hash string) {
 	m.pos.Offset += int64(len(journalLine(name, hash)))
 }
 
-// Increment atomically increments the counter bound to the name. The
+// Increment atomically adds by to the counter bound to the name. The
 // counter blob is tiny, so hashing it under the lock — unavoidable for
 // atomicity of the read-modify-write — costs nothing measurable.
-func (m *MemoryBackend) Increment(name string) (int, error) {
+func (m *MemoryBackend) Increment(name string, by int) (int, error) {
+	if err := checkIncrement(name, by); err != nil {
+		return 0, err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := 0
@@ -110,7 +113,7 @@ func (m *MemoryBackend) Increment(name string) (int, error) {
 			}
 		}
 	}
-	n++
+	n += by
 	data, _ := json.Marshal(n)
 	hash := HashBytes(data)
 	m.putBlobLocked(hash, data)

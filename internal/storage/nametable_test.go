@@ -50,7 +50,7 @@ func TestMemoryPositionCountsJournalBytes(t *testing.T) {
 			t.Fatalf("swap = %v, %v", swapped, err)
 		}
 		for i := 0; i < 2; i++ {
-			if _, err := s.Increment("meta", "runseq"); err != nil {
+			if _, err := s.Increment("meta", "runseq", 1); err != nil {
 				t.Fatal(err)
 			}
 		}

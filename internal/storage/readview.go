@@ -302,7 +302,7 @@ func (b *FSReadBackend) BindName(name, hash string) error {
 
 // Increment fails: the view is read-only (counters are minted only by
 // the writer).
-func (b *FSReadBackend) Increment(name string) (int, error) {
+func (b *FSReadBackend) Increment(name string, n int) (int, error) {
 	return 0, fmt.Errorf("storage: Increment %s on %s: %w", name, b.dir, ErrReadOnly)
 }
 

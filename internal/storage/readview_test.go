@@ -131,7 +131,7 @@ func TestReadOnlyRejectsMutations(t *testing.T) {
 	if _, err := r.Put("ns", "k2", []byte("x")); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("Put error = %v, want ErrReadOnly", err)
 	}
-	if _, err := r.Increment("meta", "runseq"); !errors.Is(err, ErrReadOnly) {
+	if _, err := r.Increment("meta", "runseq", 1); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("Increment error = %v, want ErrReadOnly", err)
 	}
 	hash, err := r.Hash("ns", "k")

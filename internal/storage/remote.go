@@ -206,11 +206,19 @@ func (b *RemoteBackend) apiURL(path string, query url.Values) string {
 }
 
 // remoteAPIError decodes the error envelope from a non-2xx response
-// body, falling back to the raw status.
+// body, falling back to the raw status. A write the primary refuses
+// outright — 401 unauthorized (wrong token) or 403 read_only (writes
+// not enabled) — wraps ErrReadOnly: retrying it cannot succeed, and
+// callers such as the lease queue stop on it instead of polling.
 func remoteAPIError(resp *http.Response, body []byte) error {
 	var doc APIErrorDoc
 	if err := json.Unmarshal(body, &doc); err == nil && doc.Error.Message != "" {
-		return fmt.Errorf("remote store: %s (%s)", doc.Error.Message, doc.Error.Code)
+		code := doc.Error.Code
+		if (resp.StatusCode == http.StatusUnauthorized && code == "unauthorized") ||
+			(resp.StatusCode == http.StatusForbidden && code == "read_only") {
+			return fmt.Errorf("remote store: %s (%s): %w", doc.Error.Message, code, ErrReadOnly)
+		}
+		return fmt.Errorf("remote store: %s (%s)", doc.Error.Message, code)
 	}
 	return fmt.Errorf("remote store: HTTP %s", resp.Status)
 }
@@ -227,8 +235,8 @@ func (b *RemoteBackend) get(method, rawURL string) (status int, body []byte, err
 // a write carrying the bearer token. The retry policy is the same as
 // reads — a write whose response was lost in transit may be retried
 // after it landed, which every write route tolerates: blob puts and
-// binds are idempotent, a re-tried counter increment can only skip an
-// ID (never reuse one), and a re-tried CAS observes its own earlier
+// binds are idempotent, a re-tried counter reservation can only skip
+// IDs (never reuse one), and a re-tried CAS observes its own earlier
 // win as a lost race, which lease callers treat as "not mine" — safe,
 // because an unexecuted claim simply expires.
 func (b *RemoteBackend) do(method, rawURL string, reqBody []byte) (status int, body []byte, err error) {
@@ -587,16 +595,26 @@ func (b *RemoteBackend) CompareAndSwapName(name, oldHash, newHash string) (bool,
 	return doc.Swapped, nil
 }
 
-// Increment asks the primary to mint the next counter value; atomicity
-// lives in the primary backend's critical section, so IDs stay unique
-// across every local and remote client of the store.
-func (b *RemoteBackend) Increment(name string) (int, error) {
+// Increment asks the primary to reserve the next block of n counter
+// values; atomicity lives in the primary backend's critical section, so
+// blocks stay disjoint across every local and remote client of the
+// store. A reply to n > 1 that does not echo n comes from a primary
+// that predates blocks: it added 1, and trusting its value would hand
+// out IDs another client also owns, so that is an error.
+func (b *RemoteBackend) Increment(name string, n int) (int, error) {
+	if err := checkIncrement(name, n); err != nil {
+		return 0, err
+	}
 	if b.token == "" {
 		return 0, fmt.Errorf("storage: Increment %s on %s: %w", name, b.base, ErrReadOnly)
 	}
 	var doc CounterDoc
-	if err := b.postJSON(b.apiURL("/counter", nil), CounterReq{Name: name}, &doc); err != nil {
+	if err := b.postJSON(b.apiURL("/counter", nil), CounterReq{Name: name, N: n}, &doc); err != nil {
 		return 0, fmt.Errorf("storage: remote Increment %s: %w", name, err)
+	}
+	if n > 1 && doc.N != n {
+		return 0, fmt.Errorf("storage: remote Increment %s by %d: %s reserved a block of %d, not %d (a primary without block reservation?)",
+			name, n, b.base, doc.N, n)
 	}
 	if ValidBlobHash(doc.Hash) {
 		b.mu.Lock()

@@ -118,7 +118,7 @@ func TestRemoteReadOnly(t *testing.T) {
 	if err := r.Bind("runs", "run-0002", h); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("remote Bind error = %v, want ErrReadOnly", err)
 	}
-	if _, err := r.Increment("counters", "n"); !errors.Is(err, ErrReadOnly) {
+	if _, err := r.Increment("counters", "n", 1); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("remote Increment error = %v, want ErrReadOnly", err)
 	}
 	if _, err := r.Compact(); !errors.Is(err, ErrReadOnly) {
@@ -596,7 +596,7 @@ func TestRemoteMirrorMatchesFreshOpen(t *testing.T) {
 						t.Fatal(err)
 					}
 				case op < 8:
-					if _, err := w.Increment("counters", key[:2]); err != nil {
+					if _, err := w.Increment("counters", key[:2], 1); err != nil {
 						t.Fatal(err)
 					}
 				case op < 9:

@@ -252,19 +252,31 @@ func (s *Store) Get(ns, key string) ([]byte, error) {
 	return s.backend.GetBlob(hash)
 }
 
-// Increment atomically increments the integer counter bound to
-// namespace/key and returns the new value. A missing binding counts from
-// zero. The read-modify-write is atomic inside the backend, so
-// concurrent increments — from any number of clients sharing the store —
-// never observe the same value twice. The counter is stored as JSON, so
-// it remains readable with Get and survives Snapshot/Restore (and, on
-// the disk backend, process restarts).
-func (s *Store) Increment(ns, key string) (int, error) {
+// Increment atomically adds n (n >= 1) to the integer counter bound to
+// namespace/key and returns the new value: the caller owns the block of
+// IDs new-n+1 … new. A missing binding counts from zero. The
+// read-modify-write is atomic inside the backend, so concurrent
+// reservations — from any number of clients sharing the store — never
+// overlap. A run reserves its job IDs as one block, so minting them
+// costs one counter write whatever the run's job count. The counter is
+// stored as JSON, so it remains readable with Get and survives
+// Snapshot/Restore (and, on the disk backend, process restarts).
+func (s *Store) Increment(ns, key string, n int) (int, error) {
 	nk, err := nameKey(ns, key)
 	if err != nil {
 		return 0, err
 	}
-	return s.backend.Increment(nk)
+	return s.backend.Increment(nk, n)
+}
+
+// checkIncrement rejects a block size below one, for every writable
+// backend's Increment: a counter only moves forward, and an empty block
+// would mint nothing.
+func checkIncrement(name string, n int) error {
+	if n < 1 {
+		return fmt.Errorf("storage: Increment %s by %d: the block size must be at least 1", name, n)
+	}
+	return nil
 }
 
 // Hash returns the blob hash bound to namespace/key without fetching the

@@ -337,7 +337,7 @@ func TestPutGetProperty(t *testing.T) {
 func TestIncrementSequential(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, s *Store) {
 		for want := 1; want <= 5; want++ {
-			n, err := s.Increment("meta", "seq")
+			n, err := s.Increment("meta", "seq", 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -345,13 +345,27 @@ func TestIncrementSequential(t *testing.T) {
 				t.Fatalf("Increment = %d, want %d", n, want)
 			}
 		}
+		// A block of 4 is 6…9: the new value is the block's last.
+		if n, err := s.Increment("meta", "seq", 4); err != nil || n != 9 {
+			t.Fatalf("Increment by 4 = %d, %v; want 9", n, err)
+		}
+		// An empty or negative block is refused by the store and by the
+		// backend alike, and leaves the counter where it was.
+		for _, n := range []int{0, -3} {
+			if _, err := s.Increment("meta", "seq", n); err == nil {
+				t.Fatalf("Increment by %d succeeded", n)
+			}
+			if _, err := s.Backend().Increment("meta/seq", n); err == nil {
+				t.Fatalf("backend Increment by %d succeeded", n)
+			}
+		}
 		// The counter stays readable as plain JSON through Get.
 		data, err := s.Get("meta", "seq")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(data) != "5" {
-			t.Fatalf("stored counter = %q, want \"5\"", data)
+		if string(data) != "9" {
+			t.Fatalf("stored counter = %q, want \"9\"", data)
 		}
 	})
 }
@@ -361,10 +375,10 @@ func TestIncrementRejectsNonCounter(t *testing.T) {
 		if _, err := s.Put("meta", "seq", []byte("not a number")); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Increment("meta", "seq"); err == nil {
+		if _, err := s.Increment("meta", "seq", 1); err == nil {
 			t.Fatal("Increment over non-integer binding succeeded")
 		}
-		if _, err := s.Increment("", "seq"); err == nil {
+		if _, err := s.Increment("", "seq", 1); err == nil {
 			t.Fatal("Increment with empty namespace succeeded")
 		}
 	})
@@ -380,7 +394,7 @@ func TestIncrementConcurrent(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for i := 0; i < perG; i++ {
-					n, err := s.Increment("meta", "seq")
+					n, err := s.Increment("meta", "seq", 1)
 					if err != nil {
 						t.Error(err)
 						return

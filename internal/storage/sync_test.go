@@ -20,7 +20,7 @@ func populate(t *testing.T, s *Store, n int) {
 	if _, err := s.Put("artifacts", "hist.bin", []byte("kept artifact bytes")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Increment("counters", "campaign"); err != nil {
+	if _, err := s.Increment("counters", "campaign", 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -143,7 +143,7 @@ func TestSyncAgainIsNoOp(t *testing.T) {
 	if _, err := src.Put("runs", "run-9999", []byte("later run")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.Increment("counters", "campaign"); err != nil {
+	if _, err := src.Increment("counters", "campaign", 1); err != nil {
 		t.Fatal(err)
 	}
 	delta, err := Sync(src, dst)

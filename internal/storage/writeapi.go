@@ -29,8 +29,14 @@ import (
 //	                    bind applies only if the name currently resolves
 //	                    to "old_hash" ("" = unbound) — the lost-race
 //	                    answer is 200 with swapped:false, not an error.
-//	POST /counter       atomically increment the named counter; returns
-//	                    the new value and the hash it was bound to.
+//	POST /counter       atomically add "n" (absent or 0: 1; negative:
+//	                    400) to the named counter; returns the new
+//	                    value, the hash it was bound to and "n" echoed,
+//	                    so the caller owns the block value-n+1 … value.
+//	                    A client asking for n > 1 checks the echo: a
+//	                    primary that predates blocks ignores the field
+//	                    and adds 1, and a client trusting it would hand
+//	                    out IDs another client also owns.
 //
 // # Auth model
 //
@@ -75,12 +81,17 @@ type NameWriteDoc struct {
 // CounterReq is the POST /counter request body.
 type CounterReq struct {
 	Name string `json:"name"`
+	// N is the block size to reserve; 0 (absent) means 1.
+	N int `json:"n,omitempty"`
 }
 
 // CounterDoc is the POST /counter response.
 type CounterDoc struct {
 	Name  string `json:"name"`
 	Value int    `json:"value"`
+	// N echoes the block size added, so a client can tell a primary
+	// that reserved the block from one that ignored the request field.
+	N int `json:"n"`
 	// Hash is the blob the counter name is now bound to, so a caller
 	// mirroring bindings can update without a round trip.
 	Hash string `json:"hash"`
@@ -220,11 +231,20 @@ func (h *APIHandler) serveCounter(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("%q is not a namespace/key name", req.Name))
 		return
 	}
-	n, err := h.store.Backend().Increment(req.Name)
+	by := req.N
+	if by == 0 {
+		by = 1
+	}
+	if by < 0 {
+		WriteAPIError(w, http.StatusBadRequest, "bad_request",
+			fmt.Sprintf("n=%d: the block size must be at least 1", req.N))
+		return
+	}
+	n, err := h.store.Backend().Increment(req.Name, by)
 	if err != nil {
 		WriteAPIError(w, http.StatusInternalServerError, "internal", err.Error())
 		return
 	}
 	hash, _ := h.store.Backend().ResolveName(req.Name)
-	WriteAPIJSON(w, CounterDoc{Name: req.Name, Value: n, Hash: hash})
+	WriteAPIJSON(w, CounterDoc{Name: req.Name, Value: n, N: by, Hash: hash})
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -186,11 +187,11 @@ func TestRemoteWritableBackend(t *testing.T) {
 	// Counters minted remotely and locally interleave without reuse.
 	seen := map[int]bool{}
 	for i := 0; i < 3; i++ {
-		rn, err := worker.Increment("seq", "runs")
+		rn, err := worker.Increment("seq", "runs", 1)
 		if err != nil {
 			t.Fatalf("remote Increment: %v", err)
 		}
-		ln, err := primary.Increment("seq", "runs")
+		ln, err := primary.Increment("seq", "runs", 1)
 		if err != nil {
 			t.Fatalf("local Increment: %v", err)
 		}
@@ -251,5 +252,94 @@ func TestRemoteWritableBackend(t *testing.T) {
 	}
 	if _, err := bad.Put("runs", "run-0003", []byte("x")); err == nil {
 		t.Fatal("wrong-token remote Put succeeded")
+	}
+}
+
+// POST /counter reserves a block: "n" is added atomically and echoed,
+// so a remote worker owns value-n+1 … value. A primary that ignores
+// "n" (one that predates blocks) adds 1 and does not echo it; a worker
+// asking it for more than one ID must fail rather than hand out IDs
+// another client also owns.
+func TestRemoteIncrementBlocks(t *testing.T) {
+	primary := NewStore()
+	ts := serveWritableStore(t, primary, "sekrit")
+	worker, err := OpenRemoteWith(ts.URL, RemoteOptions{Token: "sekrit"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := worker.Increment("seq", "jobs", 3); err != nil || n != 3 {
+		t.Fatalf("remote Increment by 3 = %d, %v; want 3", n, err)
+	}
+	if n, err := primary.Increment("seq", "jobs", 1); err != nil || n != 4 {
+		t.Fatalf("local Increment after a remote block = %d, %v; want 4", n, err)
+	}
+	status, body := apiReq(t, http.MethodPost, ts.URL+"/api/v1/counter", "sekrit", []byte(`{"name":"seq/jobs","n":2}`))
+	var doc CounterDoc
+	if err := json.Unmarshal(body, &doc); status != http.StatusOK || err != nil || doc.Value != 6 || doc.N != 2 {
+		t.Fatalf("POST /counter n=2: %d %s", status, body)
+	}
+	status, body = apiReq(t, http.MethodPost, ts.URL+"/api/v1/counter", "sekrit", []byte(`{"name":"seq/jobs","n":-1}`))
+	if status != http.StatusBadRequest || apiCode(t, body) != "bad_request" {
+		t.Fatalf("POST /counter n=-1: %d %s, want 400 bad_request", status, body)
+	}
+
+	// The stand-in older primary: the request's "n" is dropped before
+	// the real handler sees it, and the reply's echo is dropped after.
+	api := NewAPIHandler(primary, nil).EnableWrites("sekrit")
+	older := httptest.NewServer(http.StripPrefix("/api/v1", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/counter" {
+			api.ServeHTTP(w, r)
+			return
+		}
+		var req map[string]interface{}
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			t.Error(err)
+		}
+		delete(req, "n")
+		in, _ := json.Marshal(req)
+		r.Body = io.NopCloser(bytes.NewReader(in))
+		r.ContentLength = int64(len(in))
+		rec := httptest.NewRecorder()
+		api.ServeHTTP(rec, r)
+		var reply map[string]interface{}
+		if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+			t.Error(err)
+		}
+		delete(reply, "n")
+		w.WriteHeader(rec.Code)
+		json.NewEncoder(w).Encode(reply)
+	})))
+	defer older.Close()
+	oldWorker, err := OpenRemoteWith(older.URL, RemoteOptions{Token: "sekrit"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := oldWorker.Increment("seq", "jobs", 3); err == nil {
+		t.Fatalf("block of 3 from a primary that ignores n = %d, want an error", n)
+	}
+	if n, err := oldWorker.Increment("seq", "jobs", 1); err != nil || n != 8 {
+		t.Fatalf("single Increment from an older primary = %d, %v; want 8 (its ignored block skipped 7)", n, err)
+	}
+}
+
+// A write the primary refuses outright — a wrong token (401) or writes
+// not enabled (403) — wraps ErrReadOnly, so callers can tell it from an
+// outage they might outwait.
+func TestRemoteRefusedWriteIsReadOnly(t *testing.T) {
+	st := NewStore()
+	writable := serveWritableStore(t, st, "sekrit")
+	readOnly := httptest.NewServer(http.StripPrefix("/api/v1", NewAPIHandler(st, nil)))
+	defer readOnly.Close()
+	for _, url := range []string{writable.URL, readOnly.URL} {
+		w, err := OpenRemoteWith(url, RemoteOptions{Token: "WRONG"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Increment("seq", "runs", 1); !errors.Is(err, ErrReadOnly) {
+			t.Errorf("%s: refused Increment = %v, want ErrReadOnly", url, err)
+		}
+		if _, err := w.Put("runs", "r", []byte("x")); !errors.Is(err, ErrReadOnly) {
+			t.Errorf("%s: refused Put = %v, want ErrReadOnly", url, err)
+		}
 	}
 }
