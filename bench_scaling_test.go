@@ -229,6 +229,11 @@ func copyStore(src, dst string) error {
 //	segment  decode the persisted index segment + the journal tail
 //	steady   Refresh() an already-built index over an unchanged store
 //	         (the per-request cost inside spserve)
+//	moved    Refresh() after 6 more runs were recorded (what a daemon
+//	         cycle or a served request pays when the writer moved), on a
+//	         copy of the store; it reports names-listed/op, the name
+//	         listings the catch-up made, which the journal tail keeps
+//	         at 0 on every size
 func BenchmarkIndexRefresh(b *testing.B) {
 	for _, n := range storeSizes {
 		dir := synthStore(b, n)
@@ -279,7 +284,57 @@ func BenchmarkIndexRefresh(b *testing.B) {
 		if err := st.Close(); err != nil {
 			b.Fatal(err)
 		}
+		benchMovedRefresh(b, dir, n)
 	}
+}
+
+// listedFS counts the name listings reaching the disk writer. Embedding
+// the concrete backend keeps storage.JournalReader promoted.
+type listedFS struct {
+	*storage.FSBackend
+	lists atomic.Int64
+}
+
+func (l *listedFS) ListNames() ([]string, error) { l.lists.Add(1); return l.FSBackend.ListNames() }
+func (l *listedFS) ListKeys(ns string) []string  { l.lists.Add(1); return l.FSBackend.ListKeys(ns) }
+
+// benchMovedRefresh is BenchmarkIndexRefresh's moved variant, on a copy
+// of the fixture at dir so the shared fixture keeps its n runs.
+func benchMovedRefresh(b *testing.B, dir string, n int) {
+	mdir := dir + "-moved"
+	if err := copyStore(dir, mdir); err != nil {
+		b.Fatal(err)
+	}
+	defer os.RemoveAll(mdir)
+	fb, err := storage.OpenFSBackendWith(mdir, storage.Options{Sync: storage.SyncNone})
+	if err != nil {
+		b.Fatal(err)
+	}
+	l := &listedFS{FSBackend: fb}
+	st := storage.NewStoreWith(l)
+	defer st.Close()
+	x, err := bookkeep.BuildIndex(st)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run(fmt.Sprintf("runs=%d/moved", n), func(b *testing.B) {
+		l.lists.Store(0)
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if _, _, err := runner.SynthesizeRuns(st, 6, runner.SynthOptions{}); err != nil {
+				b.Fatal(err)
+			}
+			want := x.TotalRuns() + 6
+			b.StartTimer()
+			if err := x.Refresh(); err != nil {
+				b.Fatal(err)
+			}
+			if x.TotalRuns() != want {
+				b.Fatalf("indexed %d runs, want %d", x.TotalRuns(), want)
+			}
+		}
+		b.ReportMetric(float64(l.lists.Load())/float64(b.N), "names-listed/op")
+	})
 }
 
 // BenchmarkStoreReopenRefresh is the acceptance benchmark of the

@@ -52,7 +52,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strings"
 
 	"repro/internal/bookkeep"
 	"repro/internal/campaign"
@@ -693,17 +692,11 @@ func runStoreCorrupt(args []string) (err error) {
 		}
 		hash, label = h, fmt.Sprintf("%s (%s)", h, *name)
 	case *ns != "":
-		names, lerr := b.ListNames()
-		if lerr != nil {
-			return lerr
-		}
-		sort.Strings(names)
-		for _, nk := range names {
-			if strings.HasPrefix(nk, *ns+"/") {
-				h, _ := b.ResolveName(nk)
-				hash, label = h, fmt.Sprintf("%s (%s)", h, nk)
-				break
-			}
+		if keys := b.ListKeys(*ns); len(keys) > 0 {
+			sort.Strings(keys)
+			nk := *ns + "/" + keys[0]
+			h, _ := b.ResolveName(nk)
+			hash, label = h, fmt.Sprintf("%s (%s)", h, nk)
 		}
 		if hash == "" {
 			return fmt.Errorf("store corrupt: namespace %q has no bindings in %s", *ns, *storeDir)

@@ -1,8 +1,14 @@
 package bookkeep
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/maphash"
+	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/runner"
@@ -94,11 +100,12 @@ func Summarize(rec *runner.RunRecord) *RunMeta {
 // Figure 3 matrix cells — up to date in memory as compact RunMetas, so
 // every query is answered from memory. Refresh catches up on runs
 // recorded since the last call (by this process or — over the read-only
-// store view — by a separate writer process) by loading only the new
-// records, and skips even the run-list enumeration when the store's
-// journal position has not moved. Add feeds a record the process just
-// produced itself; a remote store's position does not move on its own
-// writes, so a process recording through one must Add what it records.
+// store view — by a separate writer process) by reading the run
+// bindings the store's journal gained since the position the index
+// covers, and returns after one position comparison when the store has
+// not moved. Add feeds a record the process just produced itself; a
+// remote store's position does not move on its own writes, so a process
+// recording through one must Add what it records.
 //
 // The summarized state can be persisted back into the store as a
 // *segment* (SaveSegment) keyed by the journal position it covers, so
@@ -113,35 +120,31 @@ func Summarize(rec *runner.RunRecord) *RunMeta {
 type Index struct {
 	store *storage.Store
 
-	mu     sync.RWMutex
-	runs   map[string]*RunMeta // guarded by mu
-	order  []string            // guarded by mu; all run IDs in execution (CompareIDs) order
-	byExp  map[string][]string // guarded by mu; per-experiment run IDs, same order
-	latest map[cellKey]string  // guarded by mu; run ID of each cell's latest run
-	count  map[cellKey]int     // guarded by mu; total runs recorded per cell
-	green  map[string]string   // guarded by mu; input digest -> latest fully passing run ID
-	pos    storage.Position    // guarded by mu; store history position covered by the index (zero: the empty history)
+	mu      sync.RWMutex
+	runs    map[string]*RunMeta  // guarded by mu
+	order   []string             // guarded by mu; all run IDs in execution (CompareIDs) order
+	byExp   map[string][]string  // guarded by mu; per-experiment run IDs, same order
+	latest  map[cellKey]string   // guarded by mu; run ID of each cell's latest run
+	count   map[cellKey]int      // guarded by mu; total runs recorded per cell
+	green   map[string]string    // guarded by mu; input digest -> latest fully passing run ID
+	marks   map[uint64][]JobMark // guarded by mu; mark lists of added runs, by markHash, shared between runs
+	pos     storage.Position     // guarded by mu; store history position covered by the index (zero: the empty history)
+	segRuns int                  // guarded by mu; runs of the segment loaded or last saved (-1: none, or a stale one)
 }
 
 // NewIndex returns an empty index over the store. Call Refresh to load
 // the recorded runs (and again whenever the store may have grown).
 func NewIndex(store *storage.Store) *Index {
-	return &Index{
-		store:  store,
-		runs:   make(map[string]*RunMeta),
-		byExp:  make(map[string][]string),
-		latest: make(map[cellKey]string),
-		count:  make(map[cellKey]int),
-		green:  make(map[string]string),
-	}
+	x := &Index{store: store, marks: make(map[uint64][]JobMark)}
+	x.resetLocked()
+	return x
 }
 
 // BuildIndex returns an index covering every currently recorded run.
 // If the store carries a persisted index segment, only records newer
-// than the segment are decoded from their blobs (and the run list is
-// enumerated at most once, shared between segment validation and the
-// catch-up); otherwise every record is loaded once (RebuildIndex's
-// behavior).
+// than the segment are decoded from their blobs, found by reading the
+// store's journal from the position the segment covers; otherwise
+// every record is loaded once (RebuildIndex's behavior).
 func BuildIndex(store *storage.Store) (*Index, error) {
 	x := NewIndex(store)
 	if err := x.refreshFromSegment(); err != nil {
@@ -165,16 +168,27 @@ func RebuildIndex(store *storage.Store) (*Index, error) {
 
 // Refresh indexes runs recorded since the last Refresh. When the
 // store's history position is unchanged, the call returns after one
-// position comparison — no enumeration, no loads. Otherwise only
-// records not yet indexed are loaded from storage. Run records are
+// position comparison — no enumeration, no loads. Otherwise the index
+// reads the bindings the store's journal gained after the position it
+// covers (storage.JournalReader) and loads the runs/ records among
+// them: the cost follows what was recorded, not the archive. Only when
+// that cannot be done — the store keeps no journal (the in-memory
+// store), it cannot serve the index's position (ErrPositionGone: a
+// compaction too many), or the index covers nothing yet — does Refresh
+// list every run ID and load those not yet indexed. Run records are
 // immutable once written, so an already-indexed ID is never reloaded.
 func (x *Index) Refresh() error {
 	pos, _ := x.store.Position()
 	x.mu.RLock()
-	unchanged := pos == x.pos
+	from := x.pos
 	x.mu.RUnlock()
-	if unchanged {
+	if pos == from {
 		return nil
+	}
+	if from != (storage.Position{}) {
+		if done, err := x.tail(from); done || err != nil {
+			return err
+		}
 	}
 	// The position was sampled before the enumeration below, so the
 	// index can only under-claim coverage — a run recorded in between is
@@ -182,9 +196,44 @@ func (x *Index) Refresh() error {
 	return x.refreshIDs(runner.ListRuns(x.store), pos)
 }
 
+// tail indexes the runs bound in the store's journal after from, a
+// position every run before which is indexed, page by page, moving the
+// index's coverage to the end of each page read. done is false when the
+// store keeps no journal or cannot serve it from there; the caller then
+// lists the runs instead.
+func (x *Index) tail(from storage.Position) (done bool, err error) {
+	jr, ok := x.store.Backend().(storage.JournalReader)
+	if !ok {
+		return false, nil
+	}
+	prefix := runner.RunsNS + "/"
+	for {
+		doc, err := jr.ReadJournal(from, storage.MaxPageLimit)
+		if errors.Is(err, storage.ErrPositionGone) {
+			return false, nil
+		}
+		if err != nil {
+			return false, err
+		}
+		var ids []string
+		for _, b := range doc.Bindings {
+			if id, ok := strings.CutPrefix(b.Name, prefix); ok {
+				ids = append(ids, id)
+			}
+		}
+		if err := x.refreshIDs(ids, doc.Position); err != nil {
+			return false, err
+		}
+		if !doc.More {
+			return true, nil
+		}
+		from = doc.Position
+	}
+}
+
 // refreshIDs indexes the not-yet-indexed runs among ids, then records
 // coverage up to the given position — which the caller sampled *before*
-// enumerating ids.
+// enumerating ids, or which the journal delta that named them ends at.
 func (x *Index) refreshIDs(ids []string, pos storage.Position) error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -218,6 +267,7 @@ func (x *Index) addLocked(m *RunMeta) {
 	if _, dup := x.runs[m.RunID]; dup {
 		return
 	}
+	x.shareMarksLocked(m)
 	x.runs[m.RunID] = m
 	x.order = insertID(x.order, m.RunID)
 	x.byExp[m.Experiment] = insertID(x.byExp[m.Experiment], m.RunID)
@@ -235,6 +285,44 @@ func (x *Index) addLocked(m *RunMeta) {
 			x.green[m.InputDigest] = m.RunID
 		}
 	}
+}
+
+// shareMarksLocked points the meta's mark list at an identical one an
+// earlier added run holds, or registers it for later runs to share:
+// a suite's unchanged verdicts then cost one list, not one per run and
+// the record strings behind it, the way decodeSegment shares lists.
+// Marks are never mutated once indexed. The caller holds x.mu.
+func (x *Index) shareMarksLocked(m *RunMeta) {
+	if len(m.Marks) == 0 {
+		return
+	}
+	h := markHash(m.Marks)
+	prior, ok := x.marks[h]
+	switch {
+	case !ok:
+		x.marks[h] = m.Marks
+	case slices.Equal(prior, m.Marks):
+		m.Marks = prior
+	}
+}
+
+// markSeed keys markHash for the life of the process.
+var markSeed = maphash.MakeSeed()
+
+// markHash hashes a mark list's content.
+func markHash(marks []JobMark) uint64 {
+	var h maphash.Hash
+	h.SetSeed(markSeed)
+	var num [8]byte
+	for _, mk := range marks {
+		h.WriteString(mk.Test)
+		h.WriteByte(0)
+		h.WriteString(mk.Detail)
+		h.WriteByte(byte(mk.Outcome))
+		binary.LittleEndian.PutUint64(num[:], math.Float64bits(mk.Statistic))
+		h.Write(num[:])
+	}
+	return h.Sum64()
 }
 
 // GreenRun returns the latest fully passing run recorded with the given

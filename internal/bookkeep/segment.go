@@ -34,26 +34,39 @@ import (
 // with bounds checks here so a logically corrupt cache degrades to a
 // rebuild, never a panic.
 //
-// # Position claim and the steady-state fast path
+// # Position claim, tail start and the fast path
 //
 // The segment's claimed Position is self-referential: saving the
 // segment appends its own name binding to the journal, which moves the
 // position. The binding line has constant length (the name is fixed and
-// hashes are fixed-width), so SaveSegment claims the *predicted*
-// post-save position. Save is two-phase: first encode with the claim
-// equal to the current position — if that matches the stored segment
-// byte for byte, nothing changed and nothing is written (steady-state
-// daemon cycles leave the store untouched); otherwise re-encode with
-// the predicted position and write.
+// hashes are fixed-width), so SaveSegment claims the position the index
+// covers plus that length: where the store stands after the save when
+// nothing else lands first. The claim minus the line length is what the
+// segment really covers, and that is where a later catch-up starts —
+// never at the claim itself. A run binding such as runs/run-0012345
+// has exactly the segment line's length, so a run a worker binds
+// between the index's last catch-up and the segment's own binding
+// would sit where the claim points, and a tail from the claim would
+// skip it.
 //
-// BuildIndex trusts the segment without enumerating a single run ID
-// when the store's current position equals the claim and the segment's
-// first and last run IDs still resolve (guarding the astronomically
-// unlikely — but cheap to exclude — recreated store that reaches the
-// same byte offset). Any other state falls back to full validation:
-// every run ID in the segment must still be present in the store's run
-// list, else the segment is discarded and the index rebuilds from the
-// records — the segment is a cache, never a source of truth.
+// SaveSegment encodes and writes only when the index holds runs the
+// segment it loaded or last saved lacks, or that segment is stale, so
+// steady-state daemon cycles leave the store untouched.
+//
+// BuildIndex trusts the segment without reading anything else when the
+// store's current position equals the claim. When the store has moved
+// on, it reads the bindings the journal gained after the segment's
+// coverage (storage.JournalReader, served by the disk writer, the read
+// view and the remote view) and loads only the runs/ records among
+// them. Both paths first require the segment's first and last run IDs
+// to resolve (guarding the astronomically unlikely — but cheap to
+// exclude — recreated store that reaches the same byte offset). A store
+// that keeps no journal, or cannot serve the tail's start (compacted
+// past it), falls back to full validation: every run ID in the segment
+// must still be present in the store's run list, else the segment is
+// discarded and the index rebuilds from the records — the segment is a
+// cache, never a source of truth. A segment trusted that way counts as
+// stale, so the next save rewrites it with a fresh claim.
 
 // SegmentNS is the storage namespace holding the persisted index
 // segment.
@@ -111,15 +124,37 @@ func encodeSegment(s segment) []byte {
 	}
 	// Pre-intern so the table is complete before it is written. Test
 	// names and details repeat across nearly every run of an experiment,
-	// so they go through the same table as the cell labels.
+	// so they go through the same table as the cell labels. Runs share
+	// mark lists (decodeSegment and Index.Add share identical ones), so
+	// each shared list is interned and encoded once, at its first run,
+	// and later runs copy its bytes: the table order, and so the output,
+	// is the same as interning every run's marks in turn.
+	type listKey struct {
+		first *JobMark
+		n     int
+	}
+	lists := make(map[listKey][]byte)
 	for _, m := range s.metas {
 		intern(m.Experiment)
 		intern(m.Config)
 		intern(m.Externals)
-		for _, mk := range m.Marks {
-			intern(mk.Test)
-			intern(mk.Detail)
+		if len(m.Marks) == 0 {
+			continue
 		}
+		k := listKey{&m.Marks[0], len(m.Marks)}
+		if _, done := lists[k]; done {
+			continue
+		}
+		enc := binary.AppendUvarint(nil, uint64(len(m.Marks)))
+		for _, mk := range m.Marks {
+			enc = binary.AppendUvarint(enc, intern(mk.Test))
+			enc = append(enc, byte(mk.Outcome))
+			enc = binary.AppendUvarint(enc, intern(mk.Detail))
+			// Float bits as a varint: the dominant statistic is exactly
+			// zero (one byte); anything else costs at most ten.
+			enc = binary.AppendUvarint(enc, math.Float64bits(mk.Statistic))
+		}
+		lists[k] = enc
 	}
 
 	buf := make([]byte, 0, 64+len(s.metas)*96)
@@ -160,15 +195,11 @@ func encodeSegment(s segment) []byte {
 		} else {
 			buf = append(buf, 0)
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(m.Marks)))
-		for _, mk := range m.Marks {
-			buf = binary.AppendUvarint(buf, intern(mk.Test))
-			buf = append(buf, byte(mk.Outcome))
-			buf = binary.AppendUvarint(buf, intern(mk.Detail))
-			// Float bits as a varint: the dominant statistic is exactly
-			// zero (one byte); anything else costs at most ten.
-			buf = binary.AppendUvarint(buf, math.Float64bits(mk.Statistic))
+		if len(m.Marks) == 0 {
+			buf = append(buf, 0) // the uvarint of a zero mark count
+			continue
 		}
+		buf = append(buf, lists[listKey{&m.Marks[0], len(m.Marks)}]...)
 	}
 	return buf
 }
@@ -332,75 +363,100 @@ func decodeSegment(data []byte) (segment, error) {
 }
 
 // SaveSegment persists the index's current meta set into the store,
-// keyed by the predicted post-save history position (see the package
-// comment on the self-referential claim). An unchanged index over an
-// unmoved store writes nothing, so steady-state cycles do not grow the
-// journal or the blob tree. Call on writer stores only — the read view
+// claiming the position it covers plus the length of the segment's own
+// binding line: the position the store reaches when nothing else lands
+// first (see the package comment on the claim). It writes only when the
+// index holds runs the segment it loaded or last saved lacks, or that
+// segment is stale (trusted only after a full validation), so idle
+// cycles grow neither the journal nor the blob tree. The segment is
+// encoded once per write. Call on writer stores only — the read view
 // rejects the write.
 func (x *Index) SaveSegment(store *storage.Store) error {
 	x.mu.RLock()
-	seg := segment{hasPos: true, metas: make([]*RunMeta, len(x.order))}
+	if x.segRuns == len(x.order) {
+		x.mu.RUnlock()
+		return nil
+	}
+	seg := segment{hasPos: true, pos: x.pos, metas: make([]*RunMeta, len(x.order))}
 	for i, id := range x.order {
 		seg.metas[i] = x.runs[id]
 	}
 	x.mu.RUnlock()
 
-	// Phase 1: claim the current position. Byte-identical to the stored
-	// segment means neither the metas nor the store moved: nothing to do.
-	seg.pos, _ = store.Position()
-	current := encodeSegment(seg)
-	if prior, err := store.Hash(SegmentNS, segmentKey); err == nil && prior == storage.HashBytes(current) {
-		return nil
-	}
-	// Phase 2: something changed — claim the position the store will be
-	// at after this very write lands (the segment's own binding line has
-	// constant length). If other appends interleave, the claim is merely
-	// wrong, and the next BuildIndex takes the full-validation path.
+	// Claim the index's own coverage, not a fresh sample of the store: a
+	// run bound since the index last caught up is not in this segment,
+	// and the next BuildIndex reads it from the journal after that
+	// coverage (the claim minus the segment line).
 	seg.pos.Offset += segmentBindLineLen
 	if _, err := store.Put(SegmentNS, segmentKey, encodeSegment(seg)); err != nil {
 		return fmt.Errorf("bookkeep: persisting index segment: %w", err)
 	}
+	x.mu.Lock()
+	x.segRuns = len(seg.metas)
+	x.mu.Unlock()
 	return nil
 }
 
 // refreshFromSegment brings the (empty) index fully up to date,
 // seeding it from the store's persisted segment when one exists and
 // validates. The segment is strictly best-effort — any problem falls
-// back to indexing from the records — and the run list is enumerated at
-// most once, shared between segment validation and the record catch-up
-// (zero enumerations on the exact-position fast path).
+// back to indexing from the records. Three ways, cheapest first:
+//
+//   - the store is at the segment's claim: nothing was bound since the
+//     segment, so it is complete as it stands;
+//   - the store moved on: the runs bound since are read from the journal
+//     after the segment's coverage (the claim minus its own line);
+//   - neither is possible (no claim, no journal, or a position the store
+//     cannot serve): every run ID is listed, the segment is trusted only
+//     if all its runs are among them, and the listing drives the
+//     catch-up. Such a segment counts as stale, so the next SaveSegment
+//     rewrites it with a fresh claim.
+//
+// The first two also require the segment's first and last runs to
+// resolve, so a recreated store that reached the same position cannot
+// smuggle in another store's bookkeeping.
 func (x *Index) refreshFromSegment() error {
 	data, err := x.store.Get(SegmentNS, segmentKey)
 	if err != nil {
 		return x.Refresh()
 	}
 	seg, err := decodeSegment(data)
-	if err != nil || len(seg.metas) == 0 {
+	if err != nil {
 		return x.Refresh()
 	}
 	pos, _ := x.store.Position()
-	if seg.hasPos && seg.pos == pos {
-		// Exact position match, plus a cheap identity probe: the
-		// segment's first and last runs must still resolve, so a
-		// recreated store that coincidentally reached the same byte
-		// offset cannot smuggle in another store's bookkeeping.
-		first, last := seg.metas[0].RunID, seg.metas[len(seg.metas)-1].RunID
-		if x.store.Exists(runner.RunsNS, first) && x.store.Exists(runner.RunsNS, last) {
-			x.mu.Lock()
-			if x.addSortedLocked(seg.metas) {
-				// Nothing changed since the segment was written: coverage
-				// is complete without enumerating a single run ID. The
-				// trailing Refresh is a no-op position comparison.
+	start := seg.pos
+	start.Offset -= segmentBindLineLen
+	_, journal := x.store.Backend().(storage.JournalReader)
+	exact := seg.pos == pos
+	if seg.hasPos && (exact || (journal && start.Offset >= 0)) && x.resolves(seg.metas) {
+		x.mu.Lock()
+		loaded := x.addSortedLocked(seg.metas)
+		if loaded {
+			x.segRuns = len(seg.metas)
+			if exact {
 				x.pos = pos
 			}
-			x.mu.Unlock()
-			return x.Refresh()
 		}
+		x.mu.Unlock()
+		if !loaded {
+			return x.Refresh() // a corrupt order: rebuild from the records
+		}
+		if exact {
+			return nil
+		}
+		done, err := x.tail(start)
+		if done || err != nil {
+			return err
+		}
+		x.mu.Lock()
+		x.resetLocked()
+		x.mu.Unlock()
 	}
-	// The store moved past (or does not position-match) the segment:
-	// trust it only if every run it claims still exists — a recreated
-	// store must not inherit a previous store's bookkeeping. The same
-	// enumeration then drives the record catch-up.
+	// The full validation: trust the segment only if every run it claims
+	// still exists — a recreated store must not inherit a previous
+	// store's bookkeeping. The same enumeration then drives the record
+	// catch-up.
 	ids := runner.ListRuns(x.store)
 	listed := make(map[string]bool, len(ids))
 	for _, id := range ids {
@@ -421,6 +477,13 @@ func (x *Index) refreshFromSegment() error {
 	return x.refreshIDs(ids, pos)
 }
 
+// resolves is the identity probe: the first and last of the segment's
+// runs are still bound in the store.
+func (x *Index) resolves(metas []*RunMeta) bool {
+	return len(metas) == 0 || (x.store.Exists(runner.RunsNS, metas[0].RunID) &&
+		x.store.Exists(runner.RunsNS, metas[len(metas)-1].RunID))
+}
+
 // addSortedLocked bulk-loads metas known to be in ascending run order
 // into an empty index — the segment load path, where skipping the
 // per-insert binary searches and latest-run comparisons is worth a
@@ -432,21 +495,13 @@ func (x *Index) addSortedLocked(metas []*RunMeta) bool {
 	if len(x.order) != 0 {
 		return false
 	}
-	reset := func() bool {
-		x.order = nil
-		x.runs = make(map[string]*RunMeta)
-		x.byExp = make(map[string][]string)
-		x.count = make(map[cellKey]int)
-		x.latest = make(map[cellKey]string)
-		x.green = make(map[string]string)
-		return false
-	}
 	x.order = make([]string, len(metas))
 	x.runs = make(map[string]*RunMeta, len(metas)+16)
 	prev := ""
 	for i, m := range metas {
 		if m == nil || (prev != "" && runner.CompareIDs(prev, m.RunID) >= 0) {
-			return reset()
+			x.resetLocked()
+			return false
 		}
 		prev = m.RunID
 		x.order[i] = m.RunID
@@ -460,4 +515,17 @@ func (x *Index) addSortedLocked(metas []*RunMeta) bool {
 		}
 	}
 	return true
+}
+
+// resetLocked empties the index: no runs, no coverage, no segment.
+// Callers hold x.mu.
+func (x *Index) resetLocked() {
+	x.runs = make(map[string]*RunMeta)
+	x.order = nil
+	x.byExp = make(map[string][]string)
+	x.latest = make(map[cellKey]string)
+	x.count = make(map[cellKey]int)
+	x.green = make(map[string]string)
+	x.pos = storage.Position{}
+	x.segRuns = -1
 }

@@ -1,6 +1,8 @@
 package bookkeep
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
@@ -50,8 +52,9 @@ func recordRuns(t *testing.T, store *storage.Store, n int, exp string) {
 	}
 }
 
-// listCounter counts the ListNames calls reaching the backend it wraps:
-// an index that lists no names answered from its position alone.
+// listCounter counts the name listings (ListNames and ListKeys calls)
+// reaching the backend it wraps: an index that lists no names answered
+// from its position alone.
 type listCounter struct {
 	storage.Backend
 	lists atomic.Int64
@@ -60,6 +63,11 @@ type listCounter struct {
 func (c *listCounter) ListNames() ([]string, error) {
 	c.lists.Add(1)
 	return c.Backend.ListNames()
+}
+
+func (c *listCounter) ListKeys(ns string) []string {
+	c.lists.Add(1)
+	return c.Backend.ListKeys(ns)
 }
 
 // forEachPositionedStore runs fn over an on-disk and an in-memory
@@ -457,4 +465,115 @@ func bookkeepBuildAndSave(store *storage.Store) (*Index, error) {
 		return nil, err
 	}
 	return x, x.SaveSegment(store)
+}
+
+// TestEncodeSegmentInternsSharedListsOnce: encoding each shared mark
+// list once yields the bytes of interning every run's marks in turn,
+// over runs that share lists, runs with equal but unshared lists, runs
+// with lists of their own and runs without marks.
+func TestEncodeSegmentInternsSharedListsOnce(t *testing.T) {
+	common := []JobMark{
+		{Test: "compile/lib01", Outcome: valtest.OutcomePass},
+		{Test: "chain01/validate", Outcome: valtest.OutcomeFail, Detail: "statistic drift", Statistic: -3.25},
+	}
+	equal := append([]JobMark(nil), common...)
+	own := []JobMark{
+		{Test: "standalone/t01", Outcome: valtest.OutcomeError, Detail: "crash"},
+		{Test: "compile/lib01", Outcome: valtest.OutcomeSkip},
+	}
+	lists := [][]JobMark{common, nil, own, common, equal, common[:1], own[1:], common, nil, equal}
+	var metas []*RunMeta
+	for i, marks := range lists {
+		metas = append(metas, &RunMeta{RunID: fmt.Sprintf("run-%04d", i+1), Experiment: []string{"H1", "ZEUS"}[i%2],
+			Config: "SL6/64bit gcc4.4", Externals: "root-5.34", Jobs: len(marks), Marks: marks})
+	}
+	seg := segment{hasPos: true, pos: storage.Position{Generation: 2, Offset: 4096}, metas: metas}
+	if got, want := encodeSegment(seg), encodeSegmentPerRun(seg); !bytes.Equal(got, want) {
+		t.Fatalf("encodeSegment output (%d bytes) differs from the per-run encoding (%d bytes)", len(got), len(want))
+	}
+	decoded, err := decodeSegment(encodeSegment(seg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := encodeSegment(decoded), encodeSegmentPerRun(seg); !bytes.Equal(got, want) {
+		t.Fatal("re-encoding a decoded segment (lists shared by decodeSegment) changed its bytes")
+	}
+}
+
+// encodeSegmentPerRun is the reference wire encoder: it interns every
+// run's marks in turn, whether or not runs share the list.
+func encodeSegmentPerRun(s segment) []byte {
+	table := make([]string, 0, 16)
+	tableIdx := make(map[string]int, 16)
+	intern := func(v string) uint64 {
+		i, ok := tableIdx[v]
+		if !ok {
+			i = len(table)
+			table = append(table, v)
+			tableIdx[v] = i
+		}
+		return uint64(i)
+	}
+	// Pre-intern so the table is complete before it is written. Test
+	// names and details repeat across nearly every run of an experiment,
+	// so they go through the same table as the cell labels.
+	for _, m := range s.metas {
+		intern(m.Experiment)
+		intern(m.Config)
+		intern(m.Externals)
+		for _, mk := range m.Marks {
+			intern(mk.Test)
+			intern(mk.Detail)
+		}
+	}
+
+	buf := make([]byte, 0, 64+len(s.metas)*96)
+	buf = append(buf, segmentMagic...)
+	buf = append(buf, byte(segmentFormat))
+	putStr := func(v string) {
+		buf = binary.AppendUvarint(buf, uint64(len(v)))
+		buf = append(buf, v...)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(table)))
+	for _, v := range table {
+		putStr(v)
+	}
+	if s.hasPos {
+		buf = append(buf, 1)
+	} else {
+		buf = append(buf, 0)
+	}
+	buf = binary.AppendUvarint(buf, uint64(s.pos.Generation))
+	buf = binary.AppendUvarint(buf, uint64(s.pos.Offset))
+	buf = binary.AppendUvarint(buf, uint64(len(s.metas)))
+	for _, m := range s.metas {
+		putStr(m.RunID)
+		putStr(m.Description)
+		buf = binary.AppendUvarint(buf, intern(m.Experiment))
+		buf = binary.AppendUvarint(buf, intern(m.Config))
+		buf = binary.AppendUvarint(buf, intern(m.Externals))
+		putStr(m.InputDigest)
+		buf = binary.AppendUvarint(buf, uint64(m.Revision))
+		buf = binary.AppendUvarint(buf, uint64(m.Timestamp))
+		buf = binary.AppendUvarint(buf, uint64(m.Jobs))
+		buf = binary.AppendUvarint(buf, uint64(m.Pass))
+		buf = binary.AppendUvarint(buf, uint64(m.Fail))
+		buf = binary.AppendUvarint(buf, uint64(m.Skip))
+		buf = binary.AppendUvarint(buf, uint64(m.Error))
+		if m.Passed {
+			buf = append(buf, 1)
+		} else {
+			buf = append(buf, 0)
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(m.Marks)))
+		for _, mk := range m.Marks {
+			buf = binary.AppendUvarint(buf, intern(mk.Test))
+			buf = append(buf, byte(mk.Outcome))
+			buf = binary.AppendUvarint(buf, intern(mk.Detail))
+			// Float bits as a varint: the dominant statistic is exactly
+			// zero (one byte); anything else costs at most ten.
+			buf = binary.AppendUvarint(buf, math.Float64bits(mk.Statistic))
+		}
+	}
+	return buf
 }

@@ -465,9 +465,9 @@ func LoadRun(store *storage.Store, runID string) (*RunRecord, error) {
 }
 
 // ListRuns returns the IDs of all recorded runs in execution order
-// (numeric-aware, so run-10000 follows run-9999).
+// (numeric-aware, so run-10000 follows run-9999), sorted once.
 func ListRuns(store *storage.Store) []string {
-	ids := store.List(RunsNS)
+	ids := store.Backend().ListKeys(RunsNS)
 	sort.Slice(ids, func(i, j int) bool { return CompareIDs(ids[i], ids[j]) < 0 })
 	return ids
 }

@@ -168,6 +168,12 @@ func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.refresh()
+	// Subscribe before the stream reports itself open: a client that has
+	// read the open comment must receive every event published after it.
+	// A reconnect carrying Last-Event-ID resumes: events it missed are
+	// replayed from the ring before anything live.
+	ch, replay := s.events.subscribe(lastEventID(r))
+	defer s.events.unsubscribe(ch)
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream; charset=utf-8")
 	h.Set("Cache-Control", "no-store")
@@ -178,10 +184,6 @@ func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	fl.Flush()
 
-	// A reconnect carrying Last-Event-ID resumes: events it missed are
-	// replayed from the ring before anything live.
-	ch, replay := s.events.subscribe(lastEventID(r))
-	defer s.events.unsubscribe(ch)
 	for _, ev := range replay {
 		if writeSSE(w, ev) != nil {
 			return

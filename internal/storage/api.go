@@ -53,15 +53,18 @@ import (
 //	                       keeps the journal its last compaction
 //	                       folded away, so a position one compaction
 //	                       behind is served on into the new generation.
+//	                       A relay (a store over a remote one) forwards
+//	                       the request to its primary and answers the
+//	                       primary's delta or refusal, so its reply can
+//	                       reach past the relay's own /position.
 //	                       A position the store cannot tail from
 //	                       answers 409 position_gone: its generation is
 //	                       gone (compacted twice over on the writer,
 //	                       once under a read view), its offset is past
 //	                       the journal's end or not on an entry
-//	                       boundary, or the store keeps no journal file
-//	                       (an in-memory store, a relay over a remote
-//	                       one) and the position is not its own.
-//	                       The client then re-walks /names.
+//	                       boundary, or the store keeps no journal (an
+//	                       in-memory store) and the position is not its
+//	                       own. The client then re-walks /names.
 //
 // Write routes (PUT /blob/{hash}, POST /name, POST /counter) exist but
 // are disabled unless the serving process configured a shared token;
@@ -156,7 +159,9 @@ type JournalDoc struct {
 
 // JournalReader is implemented by backends that can serve their name
 // journal from a Position: the on-disk writer and read view, both from
-// names.log. The /journal route serves from it.
+// names.log, and the remote view, which forwards the request to its
+// primary. The /journal route serves from it, and bookkeep.Index reads
+// the runs recorded since the position it covers through it.
 type JournalReader interface {
 	// ReadJournal returns up to limit entries appended after from, or
 	// an error wrapping ErrPositionGone when from is not a point of the

@@ -50,6 +50,9 @@ type Backend interface {
 	ResolveName(name string) (string, bool)
 	// ListNames returns all bound names, sorted.
 	ListNames() ([]string, error)
+	// ListKeys returns the keys bound in one namespace, in no
+	// particular order, without listing the other namespaces.
+	ListKeys(ns string) []string
 	// NameCount returns the number of bound names without listing them.
 	NameCount() int
 	// Position returns how much name history the bindings cover. ok is

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -110,7 +111,8 @@ func TestJournalRoute(t *testing.T) {
 }
 
 // TestJournalRouteWithoutHistory: a store that keeps no journal answers
-// position_gone for any position but its own.
+// position_gone for any position but its own, and a relay over a remote
+// store forwards its primary's delta, refusals included.
 func TestJournalRouteWithoutHistory(t *testing.T) {
 	mem := NewStore()
 	if _, err := mem.Put("runs", "run-0001", []byte("one")); err != nil {
@@ -134,8 +136,18 @@ func TestJournalRouteWithoutHistory(t *testing.T) {
 	if doc := decodeJournal(t, body); status != http.StatusOK || len(doc.Bindings) != 0 || doc.Position != pos {
 		t.Fatalf("relay at its position: %d %+v, want an empty delta", status, doc)
 	}
+	// Behind the relay's position: the primary's delta, up to the
+	// primary's position, past the one the relay last refreshed to.
+	h1, _ := w.Backend().ResolveName("runs/run-0001")
+	h2, _ := w.Put("runs", "run-0002", []byte("two"))
+	now, _ := w.Position()
 	status, body = getJournal(t, relay.URL, 0, 0)
-	wantGone(t, "relay behind its position", status, body)
+	want := []BindingDoc{{"runs/run-0001", h1}, {"runs/run-0002", h2}}
+	if doc := decodeJournal(t, body); status != http.StatusOK || doc.Position != now || !reflect.DeepEqual(doc.Bindings, want) {
+		t.Fatalf("relay behind its position: %d %+v, want the primary's delta %v up to %+v", status, doc, want, now)
+	}
+	status, body = getJournal(t, relay.URL, pos.Generation, pos.Offset-3)
+	wantGone(t, "relay, offset inside the primary's entry", status, body)
 }
 
 // TestJournalRouteReadView serves the route from the shared-lock read

@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/json"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -51,6 +52,22 @@ func (t *nameTable) ListNames() ([]string, error) {
 	t.mu.RUnlock()
 	sort.Strings(out)
 	return out, nil
+}
+
+// ListKeys returns the keys bound in the namespace, in no particular
+// order. Only the namespace's keys are copied, under the read lock, so
+// listing one namespace never copies or sorts the whole table.
+func (t *nameTable) ListKeys(ns string) []string {
+	prefix := ns + "/"
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	var out []string
+	for nk := range t.names {
+		if strings.HasPrefix(nk, prefix) {
+			out = append(out, nk[len(prefix):])
+		}
+	}
+	return out
 }
 
 // NameCount returns the number of bound names without listing them.

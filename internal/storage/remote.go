@@ -38,6 +38,10 @@ import (
 //     the store keeps no journal) does Refresh re-walk the paged
 //     /names listing and replace the mirror whole. Between refreshes,
 //     ResolveName/ListNames answer from memory at zero network cost.
+//     The same /journal request serves ReadJournal, so an index over
+//     the view, and a relay's own /journal route, read the primary's
+//     delta too; a delta that spans the mirror's position also moves
+//     the mirror.
 //   - Every blob read is re-verified against its hash after transfer —
 //     the read-time verification the on-disk backends perform, applied
 //     to bytes that crossed a network instead of a disk.
@@ -81,7 +85,8 @@ type RemoteBackend struct {
 	// remote view too.
 	nameTable
 	walked  bool              // guarded by mu; a /names walk has set pos, so Refresh can tail from it
-	written map[string]string // guarded by mu; this backend's writes since the running Refresh began (nil: none running)
+	fetches int               // guarded by mu; Refreshes and ReadJournals running
+	written map[string]string // guarded by mu; this backend's writes since the oldest running fetch began (nil: none running)
 }
 
 // RemoteOptions configures OpenRemoteWith.
@@ -318,15 +323,10 @@ const namesPageLimit = 5000
 func (b *RemoteBackend) Refresh() error {
 	b.refreshMu.Lock()
 	defer b.refreshMu.Unlock()
+	defer b.keepWrites()()
 	b.mu.Lock()
 	from, tail := b.pos, b.walked
-	b.written = make(map[string]string)
 	b.mu.Unlock()
-	defer func() {
-		b.mu.Lock()
-		b.written = nil
-		b.mu.Unlock()
-	}()
 	if tail {
 		if err := b.tail(from); !errors.Is(err, ErrPositionGone) {
 			return err
@@ -335,60 +335,104 @@ func (b *RemoteBackend) Refresh() error {
 	return b.walk()
 }
 
+// keepWrites starts recording this backend's writes for
+// keepWrittenLocked, and returns the func that stops once no delta or
+// walk that began meanwhile is still being applied.
+func (b *RemoteBackend) keepWrites() func() {
+	b.mu.Lock()
+	if b.fetches++; b.written == nil {
+		b.written = make(map[string]string)
+	}
+	b.mu.Unlock()
+	return func() {
+		b.mu.Lock()
+		if b.fetches--; b.fetches == 0 {
+			b.written = nil
+		}
+		b.mu.Unlock()
+	}
+}
+
 // tail applies the primary's journal after from to the mirror, one
-// /journal page at a time, until a page reports no more entries. Each
-// page moves the mirror to the position it covers, so an error midway
-// leaves a mirror that is behind, never inconsistent. A 409 reply, the
-// primary's answer for a position it cannot tail from, is
-// ErrPositionGone.
+// ReadJournal page at a time, until a page reports no more entries.
+// Each page moves the mirror to the position it covers, so an error
+// midway leaves a mirror that is behind, never inconsistent.
 func (b *RemoteBackend) tail(from Position) error {
 	for {
-		q := url.Values{
-			"gen":   {strconv.Itoa(from.Generation)},
-			"from":  {strconv.FormatInt(from.Offset, 10)},
-			"limit": {strconv.Itoa(namesPageLimit)},
-		}
-		status, body, err := b.get(http.MethodGet, b.apiURL("/journal", q))
-		if status == http.StatusConflict {
-			return ErrPositionGone
-		}
-		if err != nil {
+		doc, err := b.ReadJournal(from, namesPageLimit)
+		if err != nil || !doc.More {
 			return err
 		}
-		var doc JournalDoc
-		if err := json.Unmarshal(body, &doc); err != nil {
-			return fmt.Errorf("storage: remote store %s: malformed API response: %w", b.base, err)
-		}
-		// A reply never moves back, and one that carries entries (or
-		// promises more) moves forward. It can move into a later
-		// generation: a primary serves a position one compaction behind
-		// up to the snapshot that compaction wrote, then on.
-		to := doc.Position
-		back := to.Generation < from.Generation || (to.Generation == from.Generation && to.Offset < from.Offset)
-		if back || (to == from && (len(doc.Bindings) > 0 || doc.More)) {
-			return fmt.Errorf("storage: remote store %s served a malformed journal delta: %d entries from %+v to %+v",
-				b.base, len(doc.Bindings), from, to)
-		}
-		if to == from {
-			return nil
-		}
-		for _, bind := range doc.Bindings {
-			if err := b.checkBinding(bind); err != nil {
-				return err
-			}
-		}
-		b.mu.Lock()
-		for _, bind := range doc.Bindings {
-			b.names[bind.Name] = bind.Hash
-		}
-		b.keepWrittenLocked()
-		b.pos = to
-		b.mu.Unlock()
-		if !doc.More {
-			return nil
-		}
-		from = to
+		from = doc.Position
 	}
+}
+
+// ReadJournal implements JournalReader by forwarding GET /journal to
+// the primary: it is the one place the request is built, for Refresh's
+// tail, for an index catching up over this store, and for a relay's own
+// /journal route, which so serves its primary's delta. Every binding
+// passes checkBinding, and a reply that moves back, or carries entries
+// without moving, is an error. A 409 reply, the primary's answer for a
+// position it cannot tail from, wraps ErrPositionGone.
+//
+// The delta also moves the mirror when it spans the mirror's position
+// (see applyDeltaLocked): whoever reads the journal past the mirror
+// finds those names resolvable here, so an index never holds a run its
+// store cannot load.
+func (b *RemoteBackend) ReadJournal(from Position, limit int) (JournalDoc, error) {
+	defer b.keepWrites()()
+	q := url.Values{
+		"gen":   {strconv.Itoa(from.Generation)},
+		"from":  {strconv.FormatInt(from.Offset, 10)},
+		"limit": {strconv.Itoa(limit)},
+	}
+	status, body, err := b.get(http.MethodGet, b.apiURL("/journal", q))
+	if status == http.StatusConflict {
+		return JournalDoc{}, fmt.Errorf("%w: %v", ErrPositionGone, err)
+	}
+	if err != nil {
+		return JournalDoc{}, err
+	}
+	var doc JournalDoc
+	if err := json.Unmarshal(body, &doc); err != nil {
+		return JournalDoc{}, fmt.Errorf("storage: remote store %s: malformed API response: %w", b.base, err)
+	}
+	// A reply never moves back, and one that carries entries (or
+	// promises more) moves forward. It can move into a later
+	// generation: a primary serves a position one compaction behind up
+	// to the snapshot that compaction wrote, then on.
+	to := doc.Position
+	if to.before(from) || (to == from && (len(doc.Bindings) > 0 || doc.More)) {
+		return JournalDoc{}, fmt.Errorf("storage: remote store %s served a malformed journal delta: %d entries from %+v to %+v",
+			b.base, len(doc.Bindings), from, to)
+	}
+	for _, bind := range doc.Bindings {
+		if err := b.checkBinding(bind); err != nil {
+			return JournalDoc{}, err
+		}
+	}
+	b.mu.Lock()
+	b.applyDeltaLocked(from, doc)
+	b.mu.Unlock()
+	return doc, nil
+}
+
+// applyDeltaLocked moves the mirror to the position the delta from
+// from covers, when the mirror's own position lies between the two:
+// applied in journal order over the bindings at any point of that span,
+// the entries leave the bindings at the delta's end. A mirror behind
+// from would skip entries, and one past the end already holds them, so
+// both are left alone, as is a mirror no walk has positioned yet. The
+// caller holds b.mu.
+func (b *RemoteBackend) applyDeltaLocked(from Position, doc JournalDoc) {
+	if !b.walked || b.pos.before(from) || doc.Position.before(b.pos) {
+		return
+	}
+	for _, bind := range doc.Bindings {
+		b.names[bind.Name] = bind.Hash
+	}
+	b.keepWrittenLocked()
+	b.pos = doc.Position
 }
 
 // walk rebuilds the mirror from the paged /names listing and replaces
@@ -439,10 +483,11 @@ func (b *RemoteBackend) checkBinding(bind BindingDoc) error {
 }
 
 // keepWrittenLocked re-applies the writes this backend made since the
-// running Refresh began. The delta or listing just applied was served
-// before some of them landed on the primary and can carry an older
-// binding of the same name; without this, a worker's mirror would lose
-// its own run records and leases. The caller holds b.mu.
+// oldest running Refresh or ReadJournal began. The delta or listing
+// just applied was served before some of them landed on the primary and
+// can carry an older binding of the same name; without this, a worker's
+// mirror would lose its own run records and leases. The caller holds
+// b.mu.
 func (b *RemoteBackend) keepWrittenLocked() {
 	for name, hash := range b.written {
 		b.names[name] = hash

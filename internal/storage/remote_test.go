@@ -425,8 +425,9 @@ func (h *holdingHandler) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 
 // TestRemoteRefreshKeepsOwnWrites: a worker's write made while a
 // Refresh is in flight must survive that Refresh, on the journal-tail
-// path and on the /names walk that follows a compaction alike. The
-// reply the Refresh applies was computed before the write landed, so
+// path and on the /names walk that follows a compaction alike, and so
+// must one made while a ReadJournal (an index catching up) moves the
+// mirror. The reply applied was computed before the write landed, so
 // applying it as-is would roll the worker's own run record back.
 func TestRemoteRefreshKeepsOwnWrites(t *testing.T) {
 	dir := t.TempDir()
@@ -453,13 +454,14 @@ func TestRemoteRefreshKeepsOwnWrites(t *testing.T) {
 	// primary's older binding.
 	mine := HashBytes([]byte("mine"))
 	rounds := []struct {
-		name            string
-		rebind, compact bool
-		key             string
+		name                  string
+		rebind, compact, read bool
+		key                   string
 	}{
 		{name: "journal tail, new name", key: "run-0003"},
 		{name: "journal tail, rebound name", rebind: true, key: "run-0004"},
 		{name: "names walk after two compactions", compact: true, key: "run-0005"},
+		{name: "ReadJournal, rebound name", rebind: true, read: true, key: "run-0006"},
 	}
 	for i, round := range rounds {
 		if _, err := w.Put("runs", fmt.Sprintf("other-%d", i), []byte(round.name)); err != nil {
@@ -477,7 +479,15 @@ func TestRemoteRefreshKeepsOwnWrites(t *testing.T) {
 		}
 		h.armed.Store(true)
 		done := make(chan error, 1)
-		go func() { done <- r.Refresh() }()
+		if round.read {
+			from, _ := r.Position()
+			go func() {
+				_, err := r.Backend().(*RemoteBackend).ReadJournal(from, DefaultPageLimit)
+				done <- err
+			}()
+		} else {
+			go func() { done <- r.Refresh() }()
+		}
 		<-h.listed
 		if _, err := r.Put("runs", round.key, []byte("mine")); err != nil {
 			t.Fatal(err)

@@ -170,6 +170,12 @@ type Position struct {
 	Offset     int64 `json:"offset"`
 }
 
+// before reports whether p is an earlier point of the history than q:
+// an earlier generation, or an earlier offset in the same one.
+func (p Position) before(q Position) bool {
+	return p.Generation < q.Generation || (p.Generation == q.Generation && p.Offset < q.Offset)
+}
+
 // Position returns the backend's current history position. ok is
 // always true: every backend keeps a Position.
 func (s *Store) Position() (Position, bool) {
@@ -299,23 +305,12 @@ func (s *Store) Exists(ns, key string) bool {
 	return err == nil
 }
 
-// List returns the keys bound in the namespace, sorted. It is
-// best-effort by signature (every consumer treats enumeration as
-// infallible): a backend whose name index fails to enumerate reads as
-// empty here — both shipped backends serve names from memory and cannot
-// fail this call; data-bearing reads (Get, GetBlob) do report errors.
+// List returns the keys bound in the namespace, sorted. Only the
+// namespace's keys are copied and sorted, whatever the size of the rest
+// of the store.
 func (s *Store) List(ns string) []string {
-	names, err := s.backend.ListNames()
-	if err != nil {
-		return nil
-	}
-	prefix := ns + "/"
-	var keys []string
-	for _, nk := range names {
-		if strings.HasPrefix(nk, prefix) {
-			keys = append(keys, strings.TrimPrefix(nk, prefix))
-		}
-	}
+	keys := s.backend.ListKeys(ns)
+	sort.Strings(keys)
 	return keys
 }
 
