@@ -377,8 +377,8 @@ func (b *RemoteBackend) tail(from Position) error {
 //
 // The delta also moves the mirror when it spans the mirror's position
 // (see applyDeltaLocked): whoever reads the journal past the mirror
-// finds those names resolvable here, so an index never holds a run its
-// store cannot load.
+// finds those names resolvable here, so an index catching up over this
+// store can load the runs the delta names.
 func (b *RemoteBackend) ReadJournal(from Position, limit int) (JournalDoc, error) {
 	defer b.keepWrites()()
 	q := url.Values{
