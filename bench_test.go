@@ -233,7 +233,7 @@ func BenchmarkFigure3HERAMatrix(b *testing.B) {
 			b.Fatal(err)
 		}
 		totalRuns = x.TotalRuns()
-		if _, err := sys.PublishReports("figure 3"); err != nil {
+		if _, err := sys.PublishReports(""); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,7 +10,7 @@
 // Usage:
 //
 //	spd -store DIR [-cron "7 2 * * *"] [-every 0] [-workers N]
-//	    [-quick] [-cycles 0] [-title "..."]
+//	    [-quick] [-cycles 0]
 //	spd -store DIR -scrub [-scrub-page 1000] [...]
 //	spd -store DIR -listen ADDR -token SECRET [...]
 //	spd -store http://primary:8080 -worker -token SECRET [-id NAME] [...]
@@ -25,9 +25,9 @@
 // cycle re-reads and re-hashes every blob in the store in pages of
 // -scrub-page (one standalone test job per page, see internal/scrub)
 // and records the verdicts as an ordinary run under the SCRUB
-// experiment — indexed, published and served like any validation, so a
-// flipped byte anywhere in the archive surfaces as a red matrix cell
-// naming the damaged blob. Scrub cycles go through the same publish and
+// experiment — indexed and served like any validation, so a flipped
+// byte anywhere in the archive surfaces as a red matrix cell naming the
+// damaged blob. Scrub cycles go through the same index-segment and
 // opportunistic-compaction tail as validation cycles.
 //
 // A campaign can be spread over any number of machines. The primary
@@ -47,8 +47,8 @@
 // (-lease-ttl) any peer steals the cell and re-executes it. On SIGTERM
 // a worker finishes executing cells, completes their leases, and
 // releases any claims it had not started.
-// Workers skip the publish/compaction tail — site publishing and store
-// maintenance stay the primary's job.
+// Workers skip the index-segment/compaction tail — store maintenance
+// stays the primary's job.
 //
 // Every cycle rebuilds the experiment inputs fresh from their
 // definitions — the paper's "regular build of the experimental
@@ -61,14 +61,15 @@
 // Because every cycle goes through the campaign planner, a steady-state
 // cycle over an unchanged store plans zero cells: the daemon costs one
 // bookkeeping index build per firing, not a re-campaign. Each cycle
-// records its plan under the "plan" namespace and republishes the
-// status site, so a concurrent `spserve -store DIR` (which attaches
-// through the shared-lock read view) shows runs, matrix and plan live.
-// After publishing, the cycle refreshes the store's persisted index
-// segment (via PublishReports) and — once the name journal outgrows a
-// threshold — compacts the store (`spsys store compact`'s operation,
-// run opportunistically), so open and index costs stay O(recent
-// change) no matter how long the daemon has been feeding the archive.
+// records its plan under the "plan" namespace, so a concurrent
+// `spserve -store DIR` (which attaches through the shared-lock read
+// view and renders the status pages from the bookkeeping) shows runs,
+// matrix and plan live. The cycle then refreshes the store's persisted
+// index segment (via PublishReports) and — once the name journal
+// outgrows a threshold — compacts the store (`spsys store compact`'s
+// operation, run opportunistically), so open and index costs stay
+// O(recent change) no matter how long the daemon has been feeding the
+// archive.
 //
 // On SIGTERM or SIGINT the daemon shuts down cleanly: cells already
 // executing finish and are recorded, no new cell starts (the
@@ -108,7 +109,6 @@ func main() {
 	flag.IntVar(&opts.workers, "workers", runtime.NumCPU(), "concurrent campaign workers")
 	flag.BoolVar(&opts.quick, "quick", false, "scale workloads down for a fast demonstration")
 	flag.IntVar(&opts.cycles, "cycles", 0, "stop after this many cycles (0: run until SIGTERM/SIGINT)")
-	flag.StringVar(&opts.title, "title", "sp-system validation status", "published status page title")
 	flag.BoolVar(&opts.scrub, "scrub", false, "run archive integrity scrub cycles instead of validation campaigns")
 	flag.IntVar(&opts.scrubPage, "scrub-page", 0, "blobs per scrub test job (0: the scrub default)")
 	flag.BoolVar(&opts.worker, "worker", false, "run as a remote campaign worker: -store is the primary's base URL")
@@ -133,7 +133,6 @@ type options struct {
 	workers   int
 	quick     bool
 	cycles    int
-	title     string
 	scrub     bool
 	scrubPage int
 	worker    bool
@@ -269,7 +268,7 @@ func waitNext(ctx context.Context, driver *cron.Driver) (time.Time, bool, error)
 	return driver.Wait(ctx.Done())
 }
 
-// runCycle performs one plan/execute/publish pass over a system built
+// runCycle performs one plan/execute pass over a system built
 // fresh from the experiment definitions (see the package comment: plan
 // verdicts must not depend on process lifetime). Cell-level failures
 // are part of normal operation (a red cell is a meaningful result the
@@ -349,16 +348,16 @@ func runCycle(ctx context.Context, store *storage.Store, opts options, cycle int
 		fmt.Printf("spd: cycle %d: all %d cells up-to-date, nothing to run\n", cycle, len(plan.Cells))
 	}
 	if opts.worker {
-		// Publishing the site and maintaining the store (index segment,
-		// compaction) stay the primary's job; a worker's cycle ends when
-		// its cells are recorded.
+		// Maintaining the store (index segment, compaction) stays the
+		// primary's job; a worker's cycle ends when its cells are
+		// recorded.
 		return nil
 	}
-	// Publish even on an all-skip cycle: the hash-skip makes it nearly
-	// free when nothing changed, and it repairs a site a previous
-	// process failed to publish (or publishes a new -title) that an
-	// early return would otherwise never revisit.
-	if _, err := sys.PublishReports(opts.title); err != nil {
+	// Save the segment even on an all-skip cycle: it writes nothing
+	// when the segment already covers every run, and it repairs a
+	// segment a previous process failed to save that an early return
+	// would otherwise never revisit.
+	if _, err := sys.PublishReports(""); err != nil {
 		return err
 	}
 	return compactIfWorthwhile(store)
@@ -381,11 +380,12 @@ func startAPIServer(store *storage.Store, addr, token string) (*http.Server, str
 
 // runScrubCycle performs one archive-wide integrity pass: build the
 // scrub suite from the store's current blob listing, run it through the
-// platform driver, and publish. No experiments are registered — the
-// scrub's only input is the archive itself — so a scrub daemon starts
-// in milliseconds even at quick=false. Damage is a recorded red run,
-// not a daemon error: the archive keeps being scrubbed (and served) so
-// operators can see the full extent of the rot.
+// platform driver, and save the index segment. No experiments are
+// registered — the scrub's only input is the archive itself — so a
+// scrub daemon starts in milliseconds even at quick=false. Damage is a
+// recorded red run, not a daemon error: the archive keeps being
+// scrubbed (and served) so operators can see the full extent of the
+// rot.
 func runScrubCycle(store *storage.Store, opts options, cycle int) error {
 	sys := core.NewWith(store, platform.NewRegistry())
 	rec, err := sys.Scrub(opts.scrubPage, fmt.Sprintf("archive scrub cycle %d", cycle))
@@ -401,7 +401,7 @@ func runScrubCycle(store *storage.Store, opts options, cycle int) error {
 		fmt.Printf("spd: scrub cycle %d: %s: all %d pages verified clean\n",
 			cycle, rec.RunID, len(rec.Jobs))
 	}
-	if _, err := sys.PublishReports(opts.title); err != nil {
+	if _, err := sys.PublishReports(""); err != nil {
 		return err
 	}
 	return compactIfWorthwhile(store)

@@ -24,7 +24,6 @@ func quickOpts(storeDir string, cycles int) options {
 		workers:  4,
 		quick:    true,
 		cycles:   cycles,
-		title:    "spd test",
 	}
 }
 

@@ -302,7 +302,7 @@ func runCampaign(args []string) (err error) {
 	fmt.Printf("\ntotal validation runs: %d (%d from this campaign, %d cells skipped as up-to-date, %d cells failed)\n",
 		sum.TotalRuns, sum.CampaignRuns(), sum.Skipped(), sum.Failed())
 
-	if _, err := sys.PublishReports("sp-system validation status"); err != nil {
+	if _, err := sys.PublishReports(""); err != nil {
 		return err
 	}
 	if err := saveSnapshot(sys, *save); err != nil {

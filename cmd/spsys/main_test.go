@@ -2,13 +2,17 @@ package main
 
 import (
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/bookkeep"
 	"repro/internal/report"
+	"repro/internal/serve"
 	"repro/internal/storage"
 )
 
@@ -75,9 +79,94 @@ func TestCampaignCommandDiskStore(t *testing.T) {
 		t.Fatalf("disk store matrix differs from snapshot matrix:\n got:\n%s\nwant:\n%s", fromStore, fromSnap)
 	}
 
-	// The published status site is on the common storage too.
-	if pages := store.List(report.WebNS); len(pages) == 0 {
-		t.Fatal("no status pages persisted to the disk store")
+	// The status site renders from the same store.
+	pages, err := report.RenderSite(fresh, "sp-system")
+	if err != nil {
+		t.Fatal(err)
+	}
+	index := string(pages["index.html"])
+	if index == "" {
+		t.Fatal("empty status index page")
+	}
+	for _, exp := range []string{"H1", "ZEUS"} {
+		if !strings.Contains(index, exp) {
+			t.Errorf("status index page missing %s", exp)
+		}
+	}
+}
+
+// TestCampaignStoresNoSite: a campaign cycle over a disk store binds no
+// rendered page and no site-format marker, and a store that still holds
+// such bindings from an older writer indexes, exports and serves exactly
+// as it does without them — nothing reads them.
+func TestCampaignStoresNoSite(t *testing.T) {
+	storeDir := filepath.Join(t.TempDir(), "spstore")
+	if err := runCampaign([]string{"-quick", "-workers", "2", "-store", storeDir}); err != nil {
+		t.Fatal(err)
+	}
+	store, err := storage.Open(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if names := store.List("web"); len(names) != 0 {
+		t.Fatalf("campaign bound web/ names: %v", names)
+	}
+	if store.Exists("meta", "site_format") {
+		t.Fatal("campaign bound meta/site_format")
+	}
+
+	type view struct {
+		matrix string
+		site   map[string][]byte
+		root   string
+	}
+	look := func() view {
+		t.Helper()
+		x, err := bookkeep.BuildIndex(store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		site, err := report.RenderSite(x, "sp-system")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := serve.New(store, "sp-system", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/", nil))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("GET / = %d", rr.Code)
+		}
+		return view{report.TextMatrix(x.Matrix()), site, rr.Body.String()}
+	}
+	before := look()
+
+	// An older writer's stored site: pages under web/ plus the marker.
+	for name, page := range map[string]string{
+		"index.html":    "<html>stale index</html>",
+		"run-0001.html": "<html>stale run</html>",
+		"run-9999.html": "<html>no such run</html>",
+	} {
+		if _, err := store.Put("web", name, []byte(page)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := store.Put("meta", "site_format", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	after := look()
+
+	if after.matrix != before.matrix {
+		t.Errorf("matrix changed with legacy web/ bindings:\n%s\nvs\n%s", after.matrix, before.matrix)
+	}
+	if !reflect.DeepEqual(after.site, before.site) {
+		t.Error("RenderSite output changed with legacy web/ bindings")
+	}
+	if after.root != before.root {
+		t.Errorf("GET / changed with legacy web/ bindings:\n%s\nvs\n%s", after.root, before.root)
 	}
 }
 

@@ -18,9 +18,10 @@ import (
 // into the common storage, keyed by the journal Position it covers.
 // BuildIndex in a later process loads the segment (one blob decode) and
 // then indexes only records recorded after it — O(tail) instead of
-// O(every record ever written). Writers refresh the segment whenever
-// they publish reports (core.SPSystem.PublishReports), so the segment
-// trails the store by at most one campaign/daemon cycle.
+// O(every record ever written). Writers save the segment at the end of
+// every campaign, daemon and scrub cycle (core.SPSystem.PublishReports,
+// which saves the segment and nothing else), so the segment trails the
+// store by at most one cycle.
 //
 // # Wire format
 //
@@ -80,7 +81,7 @@ const segmentKey = "segment"
 // marks (test name, outcome, detail, statistic — the per-test history
 // queries' working set); a format-2 segment from an older writer simply
 // fails the version check and the index rebuilds from the records,
-// re-persisting as format 3 at the next publish.
+// re-persisting as format 3 at the next save.
 const (
 	segmentMagic  = "SPSEG"
 	segmentFormat = 3

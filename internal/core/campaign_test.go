@@ -93,13 +93,14 @@ func TestFullCampaignIntegration(t *testing.T) {
 		t.Fatalf("history of %s has %d entries", someTest, len(history))
 	}
 
-	// Reports publish; the site names both experiments.
-	if _, err := sys.PublishReports("campaign"); err != nil {
-		t.Fatal(err)
-	}
-	index, err := sys.Store.Get(report.WebNS, "index.html")
+	// The rendered site names both experiments.
+	pages, err := report.RenderSite(sysIndex(t, sys), "campaign")
 	if err != nil {
 		t.Fatal(err)
+	}
+	index := pages["index.html"]
+	if len(index) == 0 {
+		t.Fatal("empty index page")
 	}
 	for _, exp := range []string{"H1", "ZEUS"} {
 		if !strings.Contains(string(index), exp) {

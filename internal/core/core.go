@@ -8,9 +8,9 @@
 // (platform) enter independently; the framework builds the software on
 // virtual-machine images (vmhost, buildsys), runs the experiments'
 // validation suites (valtest, chain, runner) on a cron cadence (cron),
-// keeps complete bookkeeping (storage, bookkeep) and publishes status
-// pages (report). Migration campaigns (migrate) and long-horizon
-// strategy studies (lifetime) build on the same instance.
+// keeps complete bookkeeping (storage, bookkeep) from which the status
+// pages (report) are rendered. Migration campaigns (migrate) and
+// long-horizon strategy studies (lifetime) build on the same instance.
 //
 // Typical use:
 //
@@ -37,7 +37,6 @@ import (
 	"repro/internal/hepfile"
 	"repro/internal/migrate"
 	"repro/internal/platform"
-	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/scrub"
 	"repro/internal/simclock"
@@ -304,7 +303,7 @@ func (s *SPSystem) ValidateDriver(driver, experiment string, cfg platform.Config
 // The first call builds it (from the store's index segment when one
 // exists); later calls Refresh it, so runs other processes recorded are
 // seen. Every query about recorded runs — baselines, diffs, the matrix,
-// the campaign plan, publishing — is answered from this one index.
+// the campaign plan, the status pages — is answered from this one index.
 func (s *SPSystem) Index() (*bookkeep.Index, error) {
 	s.idxMu.Lock()
 	defer s.idxMu.Unlock()
@@ -419,27 +418,19 @@ func (s *SPSystem) Matrix() ([]bookkeep.Cell, error) {
 	return x.Matrix(), nil
 }
 
-// PublishReports regenerates the status web pages onto the common
-// storage and returns the number of pages the site comprises. Publish
-// cost is O(what changed): already-stored run pages are skipped without
-// being loaded or rendered. Afterwards the bookkeeping index is
-// persisted as the store's index segment, so any later process —
-// another CLI run, spserve, the next daemon cycle — indexes the store
-// by decoding one segment plus the records recorded since, instead of
-// every record ever written.
+// PublishReports persists the bookkeeping index as the store's index
+// segment and returns the number of runs the segment covers. Any later
+// process — another CLI run, spserve, the next daemon cycle — then
+// indexes the store by decoding one segment plus the records recorded
+// since, instead of every record ever written. The status pages are
+// not stored: spserve and spreport render them from that index. title
+// is ignored.
 func (s *SPSystem) PublishReports(title string) (int, error) {
 	x, err := s.Index()
 	if err != nil {
 		return 0, err
 	}
-	stats, err := report.PublishSiteIndexed(s.Store, x, title)
-	if err != nil {
-		return stats.Pages, err
-	}
-	if err := x.SaveSegment(s.Store); err != nil {
-		return stats.Pages, err
-	}
-	return stats.Pages, nil
+	return x.TotalRuns(), x.SaveSegment(s.Store)
 }
 
 // Scrub runs one archive-wide integrity pass on the default platform

@@ -265,12 +265,15 @@ func TestMatrixAndPublish(t *testing.T) {
 	if len(cells) != 2 {
 		t.Fatalf("cells = %d", len(cells))
 	}
-	pages, err := s.PublishReports("sp-system status")
+	runs, err := s.PublishReports("sp-system status")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pages != 3 { // index + 2 runs
-		t.Fatalf("pages = %d", pages)
+	if runs != 2 {
+		t.Fatalf("runs = %d, want 2", runs)
+	}
+	if !s.Store.Exists(bookkeep.SegmentNS, "segment") {
+		t.Fatal("index segment not saved")
 	}
 }
 

@@ -6,8 +6,10 @@
 //
 // Two renderers are provided: a fixed-width text matrix (the form of
 // Figure 3, suitable for terminals and logs) and HTML pages with linked
-// cells, written onto the common storage under the "web" namespace —
-// the modern equivalent of the paper's script-generated pages.
+// cells — the modern equivalent of the paper's script-generated pages.
+// The pages are never stored: like the paper's pages they are rebuilt
+// from the bookkeeping alone, on request by spserve or all at once by
+// RenderSite (spreport -out).
 package report
 
 import (
@@ -20,7 +22,6 @@ import (
 
 	"repro/internal/bookkeep"
 	"repro/internal/runner"
-	"repro/internal/storage"
 	"repro/internal/valtest"
 )
 
@@ -183,15 +184,11 @@ type matrixRow struct {
 	Note string
 }
 
-// HTMLMatrixLinked renders the status matrix page with runHref
-// supplying each cell's latest-run link target.
-func HTMLMatrixLinked(title string, cells []bookkeep.Cell, totalRuns int, runHref func(runID string) string) (string, error) {
-	return HTMLMatrixNoted(title, cells, totalRuns, runHref, nil)
-}
-
-// HTMLMatrixNoted is HTMLMatrixLinked with a per-cell freshness column
-// supplied by note — how spserve surfaces the cells the producer's last
-// plan skipped as up-to-date. A nil note omits the column.
+// HTMLMatrixNoted renders the status matrix page with runHref
+// supplying each cell's latest-run link target and note an optional
+// per-cell freshness column — how spserve surfaces the cells the
+// producer's last plan skipped as up-to-date. A nil note omits the
+// column.
 func HTMLMatrixNoted(title string, cells []bookkeep.Cell, totalRuns int, runHref func(runID string) string, note func(bookkeep.Cell) string) (string, error) {
 	rows := make([]matrixRow, len(cells))
 	for i, c := range cells {
@@ -216,7 +213,7 @@ func HTMLMatrixNoted(title string, cells []bookkeep.Cell, totalRuns int, runHref
 // HTMLMatrix renders the status matrix page for the static site, where
 // run pages sit next to the index.
 func HTMLMatrix(title string, cells []bookkeep.Cell, totalRuns int) (string, error) {
-	return HTMLMatrixLinked(title, cells, totalRuns, func(runID string) string { return runID + ".html" })
+	return HTMLMatrixNoted(title, cells, totalRuns, func(runID string) string { return runID + ".html" }, nil)
 }
 
 // runRow is one job table row: the job record plus its output link
@@ -254,35 +251,20 @@ func HTMLRun(rec *runner.RunRecord) (string, error) {
 	return HTMLRunLinked(rec, func(key string) string { return "blob/" + key })
 }
 
-// WebNS is the storage namespace the generated site is written to.
-const WebNS = "web"
+// siteFormat identifies the current page templates. Bump it when a
+// template changes.
+const siteFormat = "1"
 
-// siteFormatNS/siteFormatKey name the marker binding recording which
-// site format (template revision) the stored pages were rendered with.
-// It lives outside WebNS so the web namespace holds exactly the pages.
-const (
-	siteFormatNS  = "meta"
-	siteFormatKey = "site_format"
-	// siteFormat identifies the current page templates. Bump it when a
-	// template changes so PublishSiteIndexed re-renders pages it would
-	// otherwise skip as already stored (run records are immutable, so a
-	// stored page only goes stale when the rendering itself changes).
-	siteFormat = "1"
-)
-
-// SiteFormat returns the current site format marker. Besides gating
-// PublishSiteIndexed's re-renders, it is folded into the status
-// service's response validators (internal/serve), so bumping the
-// templates invalidates both the stored site and every client-held
-// ETag at once.
+// SiteFormat returns the current site format marker. The status service
+// (internal/serve) folds it into every response validator, so bumping
+// the templates invalidates every client-held ETag at once.
 func SiteFormat() string { return siteFormat }
 
 // RenderSite renders the whole static site — index.html plus one page
 // per run — from the index, loading each full record from storage on
 // demand (the index holds only metas). The map is keyed by page name.
 // This materializes every page at once; it backs the batch exporter
-// (spreport -out). The incremental publisher below renders only what
-// the store does not already hold.
+// (spreport -out).
 func RenderSite(x *bookkeep.Index, title string) (map[string][]byte, error) {
 	pages := make(map[string][]byte)
 	index, err := HTMLMatrix(title, x.Matrix(), x.TotalRuns())
@@ -302,90 +284,6 @@ func RenderSite(x *bookkeep.Index, title string) (map[string][]byte, error) {
 		pages[rec.RunID+".html"] = []byte(page)
 	}
 	return pages, nil
-}
-
-// PublishStats summarizes one PublishSiteIndexed pass.
-type PublishStats struct {
-	// Pages is the number of pages the site comprises.
-	Pages int
-	// Written is how many were stored because their content changed (or
-	// was new); Skipped counts pages whose stored content was already
-	// identical. Republishing after each run of a long campaign is
-	// therefore incremental: old runs' pages hash-match and are skipped.
-	Written, Skipped int
-}
-
-// PublishSiteIndexed regenerates the site from the (already refreshed)
-// index onto the common storage, doing O(what changed) work:
-//
-//   - A run page already bound in WebNS is skipped without loading the
-//     record or rendering anything — run records are immutable, so a
-//     stored page can only go stale if the templates change, which the
-//     site-format marker detects (then everything re-renders once, with
-//     hash-skip writes).
-//   - A missing run page loads its record on demand and renders it.
-//   - The index page is always re-rendered (it summarizes the whole
-//     matrix) but only written when its content hash changed.
-//
-// No step materializes the full run list or all pages in memory, so a
-// republish over a million-run archive costs the index page plus the
-// new runs.
-func PublishSiteIndexed(store *storage.Store, x *bookkeep.Index, title string) (PublishStats, error) {
-	var stats PublishStats
-	storedFormat, _ := store.Get(siteFormatNS, siteFormatKey)
-	rerenderAll := string(storedFormat) != siteFormat
-
-	publish := func(name string, content []byte) error {
-		if prior, err := store.Hash(WebNS, name); err == nil && prior == storage.HashBytes(content) {
-			stats.Skipped++
-			return nil
-		}
-		if _, err := store.Put(WebNS, name, content); err != nil {
-			return err
-		}
-		stats.Written++
-		return nil
-	}
-
-	index, err := HTMLMatrix(title, x.Matrix(), x.TotalRuns())
-	if err != nil {
-		return stats, err
-	}
-	stats.Pages++
-	if err := publish("index.html", []byte(index)); err != nil {
-		return stats, err
-	}
-
-	const pageSize = 512
-	for after, done := "", false; !done; {
-		metas, next := x.RunsPage(after, pageSize)
-		for _, m := range metas {
-			stats.Pages++
-			name := m.RunID + ".html"
-			if !rerenderAll && store.Exists(WebNS, name) {
-				stats.Skipped++
-				continue
-			}
-			rec, err := x.Run(m.RunID)
-			if err != nil {
-				return stats, err
-			}
-			page, err := HTMLRun(rec)
-			if err != nil {
-				return stats, err
-			}
-			if err := publish(name, []byte(page)); err != nil {
-				return stats, err
-			}
-		}
-		after, done = next, next == ""
-	}
-	if rerenderAll {
-		if _, err := store.Put(siteFormatNS, siteFormatKey, []byte(siteFormat)); err != nil {
-			return stats, err
-		}
-	}
-	return stats, nil
 }
 
 // TextRunsByDescription renders the paper's "available validation runs

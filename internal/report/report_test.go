@@ -134,7 +134,7 @@ func TestHTMLRunLinksOutputs(t *testing.T) {
 	}
 }
 
-func TestPublishSite(t *testing.T) {
+func TestRenderSite(t *testing.T) {
 	store := storage.NewStore()
 	rn := runner.New(store, simclock.New())
 	suite := valtest.NewSuite("H1")
@@ -153,78 +153,21 @@ func TestPublishSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := PublishSiteIndexed(store, x, "sp-system")
+	pages, err := RenderSite(x, "sp-system")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Pages != 3 { // index + 2 runs
-		t.Fatalf("pages = %d, want 3", stats.Pages)
+	if len(pages) != 3 { // index + 2 runs
+		t.Fatalf("pages = %d, want 3", len(pages))
 	}
-	index, err := store.Get(WebNS, "index.html")
-	if err != nil || !strings.Contains(string(index), "sp-system") {
-		t.Fatalf("index page missing: %v", err)
-	}
-	if keys := store.List(WebNS); len(keys) != 3 {
-		t.Fatalf("web namespace = %v", keys)
-	}
-}
-
-// TestPublishSiteIncremental is the regression test for the
-// rewrite-everything bug: republishing an unchanged store must skip
-// every page, and recording one more run must rewrite only the index
-// and the new run's page.
-func TestPublishSiteIncremental(t *testing.T) {
-	store := storage.NewStore()
-	rn := runner.New(store, simclock.New())
-	suite := valtest.NewSuite("H1")
-	suite.MustAdd(&valtest.FuncTest{TestName: "t", Cat: valtest.CatStandalone,
-		Fn: func(*valtest.Context) valtest.Result {
-			return valtest.Result{Outcome: valtest.OutcomePass}
-		}})
-	for i := 0; i < 3; i++ {
-		if _, err := rn.Run(suite, minimalCtx(store), "r"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	x, err := bookkeep.BuildIndex(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := PublishSiteIndexed(store, x, "sp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Pages != 4 || first.Written != 4 || first.Skipped != 0 {
-		t.Fatalf("first publish = %+v", first)
-	}
-
-	again, err := PublishSiteIndexed(store, x, "sp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Pages != 4 || again.Written != 0 || again.Skipped != 4 {
-		t.Fatalf("unchanged republish = %+v, want all 4 skipped", again)
-	}
-
-	// One more run: only the index page and the new run page change.
-	if _, err := rn.Run(suite, minimalCtx(store), "r"); err != nil {
-		t.Fatal(err)
-	}
-	if err := x.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	grown, err := PublishSiteIndexed(store, x, "sp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grown.Pages != 5 || grown.Written != 2 || grown.Skipped != 3 {
-		t.Fatalf("incremental publish = %+v, want 2 written / 3 skipped", grown)
+	if !strings.Contains(string(pages["index.html"]), "<h1>sp-system</h1>") {
+		t.Fatalf("index page lacks the title:\n%s", pages["index.html"])
 	}
 }
 
 func TestHTMLLinkedVariants(t *testing.T) {
 	cells := sampleCells()
-	out, err := HTMLMatrixLinked("s", cells, 9, func(id string) string { return "/runs/" + id })
+	out, err := HTMLMatrixNoted("s", cells, 9, func(id string) string { return "/runs/" + id }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
