@@ -288,8 +288,7 @@ func BenchmarkIndexRefresh(b *testing.B) {
 	}
 }
 
-// listedFS counts the name listings reaching the disk writer. Embedding
-// the concrete backend keeps storage.JournalReader promoted.
+// listedFS counts the name listings reaching the disk writer.
 type listedFS struct {
 	*storage.FSBackend
 	lists atomic.Int64

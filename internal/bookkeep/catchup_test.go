@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -31,10 +33,16 @@ func (w *work) read(data []byte) {
 
 func (w *work) reset() { w.lists.Store(0); w.loads.Store(0) }
 
-// The counting wrappers embed the concrete backends, so the optional
-// interfaces the index probes for (storage.JournalReader) and the store
-// refreshes through (storage.Refresher) stay promoted.
+// The counting wrappers of the disk and remote backends embed the
+// concrete backends, so storage.Refresher, which the view stores
+// refresh through, stays promoted. backendWork embeds the
+// storage.Backend interface alone: the index catches up through the
+// methods Backend names, whatever it wraps.
 type (
+	backendWork struct {
+		storage.Backend
+		work
+	}
 	writerWork struct {
 		*storage.FSBackend
 		work
@@ -48,6 +56,14 @@ type (
 		work
 	}
 )
+
+func (b *backendWork) ListNames() ([]string, error) { b.listed(); return b.Backend.ListNames() }
+func (b *backendWork) ListKeys(ns string) []string  { b.listed(); return b.Backend.ListKeys(ns) }
+func (b *backendWork) GetBlob(hash string) ([]byte, error) {
+	data, err := b.Backend.GetBlob(hash)
+	b.read(data)
+	return data, err
+}
 
 func (b *writerWork) ListNames() ([]string, error) { b.listed(); return b.FSBackend.ListNames() }
 func (b *writerWork) ListKeys(ns string) []string  { b.listed(); return b.FSBackend.ListKeys(ns) }
@@ -75,9 +91,10 @@ func (b *remoteWork) GetBlob(hash string) ([]byte, error) {
 
 // TestCatchUpCostFollowsNewRuns: over an archive with a saved segment,
 // k runs recorded afterwards cost BuildIndex and Refresh exactly k
-// record loads and no name listing, on the disk writer, the read view
-// and the remote view alike, whether the archive holds 200 or 2,000
-// runs.
+// record loads and no name listing, on the disk writer, the read view,
+// the remote view, the in-memory store and a wrapper that embeds only
+// the storage.Backend interface alike, whether the archive holds 200 or
+// 2,000 runs.
 func TestCatchUpCostFollowsNewRuns(t *testing.T) {
 	const k = 6
 	for _, n := range []int{200, 2000} {
@@ -111,6 +128,16 @@ func TestCatchUpCostFollowsNewRuns(t *testing.T) {
 		}
 		remote := &remoteWork{RemoteBackend: rem}
 		rs := storage.NewStoreWith(remote)
+		wrapped := &backendWork{Backend: fb}
+		wrs := storage.NewStoreWith(wrapped) // shares the writer's backend; ws closes it
+		mem := &backendWork{Backend: storage.NewMemoryBackend()}
+		ms := storage.NewStoreWith(mem)
+		if _, _, err := runner.SynthesizeRuns(ms, n, runner.SynthOptions{FailEvery: 10}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bookkeepBuildAndSave(ms); err != nil {
+			t.Fatal(err)
+		}
 
 		stores := []struct {
 			name  string
@@ -121,14 +148,18 @@ func TestCatchUpCostFollowsNewRuns(t *testing.T) {
 			{name: "writer", store: ws, w: &writer.work},
 			{name: "read view", store: vs, w: &view.work},
 			{name: "remote view", store: rs, w: &remote.work},
+			{name: "interface wrapper", store: wrs, w: &wrapped.work},
+			{name: "memory", store: ms, w: &mem.work},
 		}
 		for i := range stores {
 			if stores[i].stale, err = BuildIndex(stores[i].store); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, _, err := runner.SynthesizeRuns(ws, k, runner.SynthOptions{}); err != nil {
-			t.Fatal(err)
+		for _, st := range []*storage.Store{ws, ms} {
+			if _, _, err := runner.SynthesizeRuns(st, k, runner.SynthOptions{}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for _, s := range stores {
 			t.Run(fmt.Sprintf("runs=%d/%s", n, s.name), func(t *testing.T) {
@@ -159,6 +190,72 @@ func TestCatchUpCostFollowsNewRuns(t *testing.T) {
 				}
 				check("Refresh", s.stale)
 			})
+		}
+	}
+}
+
+// TestRefreshRebuildsRecreatedStore: a store wiped and recreated behind
+// a live index over its read view ends its journal before the index's
+// coverage, so the tail is refused and the listing shows the index was
+// built from another history: Refresh drops the old runs and indexes
+// the new store's, as a rebuild does.
+func TestRefreshRebuildsRecreatedStore(t *testing.T) {
+	dir := t.TempDir()
+	w, err := storage.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := runner.SynthesizeRuns(w, 20, runner.SynthOptions{Experiment: "OLD"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bookkeepBuildAndSave(w); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	view, err := storage.OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer view.Close()
+	x, err := BuildIndex(view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x.TotalRuns() != 20 {
+		t.Fatalf("TotalRuns = %d before recreation, want 20", x.TotalRuns())
+	}
+
+	for _, f := range []string{"names.log", "names.snapshot"} {
+		if err := os.Remove(filepath.Join(dir, f)); err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+	}
+	w, err = storage.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, _, err := runner.SynthesizeRuns(w, 5, runner.SynthOptions{Experiment: "NEW"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := view.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	full, err := RebuildIndex(view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := matrixText(x), matrixText(full); x.TotalRuns() != 5 || got != want {
+		t.Fatalf("index over the recreated store: %d runs\n%s\nwant 5 runs\n%s", x.TotalRuns(), got, want)
+	}
+	for _, c := range x.Matrix() {
+		if c.Experiment != "NEW" {
+			t.Fatalf("the old store's cell %+v survived the recreation", c)
 		}
 	}
 }

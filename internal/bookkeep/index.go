@@ -140,11 +140,12 @@ func NewIndex(store *storage.Store) *Index {
 	return x
 }
 
-// BuildIndex returns an index covering every currently recorded run.
-// If the store carries a persisted index segment, only records newer
-// than the segment are decoded from their blobs, found by reading the
-// store's journal from the position the segment covers; otherwise
-// every record is loaded once (RebuildIndex's behavior).
+// BuildIndex returns an index covering every currently recorded run:
+// an index seeded from the store's persisted segment, if one is usable,
+// then caught up by Refresh. With a segment, only records newer than it
+// are decoded from their blobs, found by reading the store's journal
+// from the position the segment covers; otherwise every record is
+// loaded once (RebuildIndex's behavior).
 func BuildIndex(store *storage.Store) (*Index, error) {
 	x := NewIndex(store)
 	if err := x.refreshFromSegment(); err != nil {
@@ -166,17 +167,28 @@ func RebuildIndex(store *storage.Store) (*Index, error) {
 	return x, nil
 }
 
-// Refresh indexes runs recorded since the last Refresh. When the
-// store's history position is unchanged, the call returns after one
-// position comparison — no enumeration, no loads. Otherwise the index
-// reads the bindings the store's journal gained after the position it
-// covers (storage.JournalReader) and loads the runs/ records among
-// them: the cost follows what was recorded, not the archive. Only when
-// that cannot be done — the store keeps no journal (the in-memory
-// store), it cannot serve the index's position (ErrPositionGone: a
-// compaction too many), or the index covers nothing yet — does Refresh
-// list every run ID and load those not yet indexed. Run records are
-// immutable once written, so an already-indexed ID is never reloaded.
+// Refresh indexes runs recorded since the last Refresh, and is the
+// index's one way of catching up. When the store's history position is
+// unchanged, the call returns after one position comparison: no
+// enumeration, no loads. Otherwise the index reads the bindings the
+// store's journal gained after the position it covers and loads the
+// runs/ records among them, so the cost follows what was recorded, not
+// the archive.
+//
+// Only when the store refuses that position (ErrPositionGone: a
+// compaction too many, or a store recreated behind the index), or the
+// index covers nothing yet, does Refresh list every run ID. The listing
+// is also the index's one validation: if the store's position is
+// before the coverage, or an indexed run is not listed, the store is
+// not the history the index was built from, and the index drops what
+// it holds and loads every listed record. Otherwise it loads the listed
+// runs not yet indexed (run records are immutable, so an indexed ID is
+// never reloaded). A listing leaves any loaded or saved segment stale.
+//
+// A store recreated behind the index and grown past the covered offset
+// before the next Refresh can still be tailed unnoticed: its journal
+// then reaches that offset, and the entries past it are indexed on top
+// of the old store's runs.
 func (x *Index) Refresh() error {
 	pos, _ := x.store.Position()
 	x.mu.RLock()
@@ -186,34 +198,45 @@ func (x *Index) Refresh() error {
 		return nil
 	}
 	if from != (storage.Position{}) {
-		if done, err := x.tail(from); done || err != nil {
+		if err := x.tail(from); !errors.Is(err, storage.ErrPositionGone) {
 			return err
 		}
 	}
 	// The position was sampled before the enumeration below, so the
 	// index can only under-claim coverage — a run recorded in between is
 	// either listed now or picked up by the next Refresh.
-	return x.refreshIDs(runner.ListRuns(x.store), pos)
+	ids := runner.ListRuns(x.store)
+	listed := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		listed[id] = true
+	}
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	stale := pos.Before(x.pos)
+	for id := range x.runs {
+		if stale {
+			break
+		}
+		stale = !listed[id]
+	}
+	if stale {
+		x.resetLocked()
+	}
+	x.segRuns = -1
+	return x.loadLocked(ids, pos)
 }
 
 // tail indexes the runs bound in the store's journal after from, a
 // position every run before which is indexed, page by page, moving the
-// index's coverage to the end of each page read. done is false when the
-// store keeps no journal or cannot serve it from there; the caller then
-// lists the runs instead.
-func (x *Index) tail(from storage.Position) (done bool, err error) {
-	jr, ok := x.store.Backend().(storage.JournalReader)
-	if !ok {
-		return false, nil
-	}
+// index's coverage to the end of each page read. An error wrapping
+// storage.ErrPositionGone means the store cannot serve its journal from
+// there; the caller then lists the runs instead.
+func (x *Index) tail(from storage.Position) error {
 	prefix := runner.RunsNS + "/"
 	for {
-		doc, err := jr.ReadJournal(from, storage.MaxPageLimit)
-		if errors.Is(err, storage.ErrPositionGone) {
-			return false, nil
-		}
+		doc, err := x.store.Backend().ReadJournal(from, storage.MaxPageLimit)
 		if err != nil {
-			return false, err
+			return err
 		}
 		var ids []string
 		for _, b := range doc.Bindings {
@@ -221,22 +244,21 @@ func (x *Index) tail(from storage.Position) (done bool, err error) {
 				ids = append(ids, id)
 			}
 		}
-		if err := x.refreshIDs(ids, doc.Position); err != nil {
-			return false, err
-		}
-		if !doc.More {
-			return true, nil
+		x.mu.Lock()
+		err = x.loadLocked(ids, doc.Position)
+		x.mu.Unlock()
+		if err != nil || !doc.More {
+			return err
 		}
 		from = doc.Position
 	}
 }
 
-// refreshIDs indexes the not-yet-indexed runs among ids, then records
+// loadLocked indexes the not-yet-indexed runs among ids, then records
 // coverage up to the given position — which the caller sampled *before*
 // enumerating ids, or which the journal delta that named them ends at.
-func (x *Index) refreshIDs(ids []string, pos storage.Position) error {
-	x.mu.Lock()
-	defer x.mu.Unlock()
+// The caller holds x.mu.
+func (x *Index) loadLocked(ids []string, pos storage.Position) error {
 	for _, id := range ids {
 		if _, done := x.runs[id]; done {
 			continue

@@ -28,7 +28,9 @@ import (
 // A compact custom binary encoding (magic "SPSEG", format 3): an
 // interning table for the heavily repeated strings (experiment, config,
 // externals labels — a million-run archive has a handful of each), the
-// claimed coverage Position, then one fixed-shape record per meta with
+// claimed coverage Position (after a flag byte, written as 1 and
+// ignored on read: the zero Position is no claim), then one
+// fixed-shape record per meta with
 // varint integers. Decoding a 100k-run segment costs tens of
 // milliseconds where per-record JSON decoding costs seconds; integrity
 // comes from the store itself (every blob read is SHA-256 verified),
@@ -54,20 +56,21 @@ import (
 // segment it loaded or last saved lacks, or that segment is stale, so
 // steady-state daemon cycles leave the store untouched.
 //
-// BuildIndex trusts the segment without reading anything else when the
-// store's current position equals the claim. When the store has moved
-// on, it reads the bindings the journal gained after the segment's
-// coverage (storage.JournalReader, served by the disk writer, the read
-// view and the remote view) and loads only the runs/ records among
-// them. Both paths first require the segment's first and last run IDs
-// to resolve (guarding the astronomically unlikely — but cheap to
-// exclude — recreated store that reaches the same byte offset). A store
-// that keeps no journal, or cannot serve the tail's start (compacted
-// past it), falls back to full validation: every run ID in the segment
-// must still be present in the store's run list, else the segment is
-// discarded and the index rebuilds from the records — the segment is a
-// cache, never a source of truth. A segment trusted that way counts as
-// stale, so the next save rewrites it with a fresh claim.
+// BuildIndex only seeds the index: it loads the segment's runs, when
+// the segment's first and last run IDs still resolve (guarding the
+// astronomically unlikely — but cheap to exclude — recreated store
+// that reaches the same byte offset), with a coverage taken from the
+// claim, and then catches up through Index.Refresh like any index.
+// When the store stands exactly at the claim, the coverage is the claim
+// and the Refresh returns at once, reading nothing else. Otherwise it
+// is the claim minus the segment line, and the Refresh reads the
+// journal from there and loads only the runs/ records it names. A
+// store that cannot serve that position (compacted past it), or a
+// segment without a claim, makes the Refresh list every run ID; a
+// seeded run missing from that listing discards the segment, and the
+// index rebuilds from the records — the segment is a cache, never a
+// source of truth. A listing leaves the segment stale, so the next
+// save rewrites it with a fresh claim.
 
 // SegmentNS is the storage namespace holding the persisted index
 // segment.
@@ -103,11 +106,10 @@ var segmentBindLineLen = func() int64 {
 	return int64(len(line) + 1)
 }()
 
-// segment is the decoded form.
+// segment is the decoded form. The zero pos stands for no claim.
 type segment struct {
-	hasPos bool
-	pos    storage.Position
-	metas  []*RunMeta
+	pos   storage.Position
+	metas []*RunMeta
 }
 
 // encodeSegment renders the wire form.
@@ -169,11 +171,7 @@ func encodeSegment(s segment) []byte {
 	for _, v := range table {
 		putStr(v)
 	}
-	if s.hasPos {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
+	buf = append(buf, 1) // a claim follows; decodeSegment ignores the byte
 	buf = binary.AppendUvarint(buf, uint64(s.pos.Generation))
 	buf = binary.AppendUvarint(buf, uint64(s.pos.Offset))
 	buf = binary.AppendUvarint(buf, uint64(len(s.metas)))
@@ -260,11 +258,9 @@ func decodeSegment(data []byte) (segment, error) {
 		}
 		return table[i], true
 	}
-	hasPos, ok := getByte()
-	if !ok {
+	if _, ok := getByte(); !ok { // the claim flag: a zero claim is none
 		return s, fail
 	}
-	s.hasPos = hasPos == 1
 	gen, ok1 := uvar()
 	off, ok2 := uvar()
 	if !ok1 || !ok2 {
@@ -378,7 +374,7 @@ func (x *Index) SaveSegment(store *storage.Store) error {
 		x.mu.RUnlock()
 		return nil
 	}
-	seg := segment{hasPos: true, pos: x.pos, metas: make([]*RunMeta, len(x.order))}
+	seg := segment{pos: x.pos, metas: make([]*RunMeta, len(x.order))}
 	for i, id := range x.order {
 		seg.metas[i] = x.runs[id]
 	}
@@ -398,84 +394,39 @@ func (x *Index) SaveSegment(store *storage.Store) error {
 	return nil
 }
 
-// refreshFromSegment brings the (empty) index fully up to date,
-// seeding it from the store's persisted segment when one exists and
-// validates. The segment is strictly best-effort — any problem falls
-// back to indexing from the records. Three ways, cheapest first:
+// refreshFromSegment brings the (empty) index fully up to date: it
+// seeds the index from the store's persisted segment, when one decodes,
+// holds runs in order and passes the resolves probe, and then catches
+// up through Refresh like any other index. The segment is strictly
+// best-effort: without one, the Refresh loads every record. The seeded
+// coverage is
 //
-//   - the store is at the segment's claim: nothing was bound since the
-//     segment, so it is complete as it stands;
-//   - the store moved on: the runs bound since are read from the journal
-//     after the segment's coverage (the claim minus its own line);
-//   - neither is possible (no claim, no journal, or a position the store
-//     cannot serve): every run ID is listed, the segment is trusted only
-//     if all its runs are among them, and the listing drives the
-//     catch-up. Such a segment counts as stale, so the next SaveSegment
-//     rewrites it with a fresh claim.
+//   - the claim itself when the store stands exactly there: only the
+//     segment's own binding followed what it covers;
+//   - otherwise the claim minus that binding's line, where a tail must
+//     start (see the package comment on the claim);
+//   - the zero Position for a segment with no claim, which makes the
+//     Refresh list every run and check the seeded ones against it.
 //
-// The first two also require the segment's first and last runs to
-// resolve, so a recreated store that reached the same position cannot
-// smuggle in another store's bookkeeping.
+// A seeded run the store does not list, or a store position before the
+// coverage, makes that Refresh drop the segment and load every record.
 func (x *Index) refreshFromSegment() error {
-	data, err := x.store.Get(SegmentNS, segmentKey)
-	if err != nil {
-		return x.Refresh()
-	}
-	seg, err := decodeSegment(data)
-	if err != nil {
-		return x.Refresh()
-	}
-	pos, _ := x.store.Position()
-	start := seg.pos
-	start.Offset -= segmentBindLineLen
-	_, journal := x.store.Backend().(storage.JournalReader)
-	exact := seg.pos == pos
-	if seg.hasPos && (exact || (journal && start.Offset >= 0)) && x.resolves(seg.metas) {
-		x.mu.Lock()
-		loaded := x.addSortedLocked(seg.metas)
-		if loaded {
-			x.segRuns = len(seg.metas)
-			if exact {
-				x.pos = pos
+	if data, err := x.store.Get(SegmentNS, segmentKey); err == nil {
+		if seg, err := decodeSegment(data); err == nil && x.resolves(seg.metas) {
+			cover := seg.pos
+			if pos, _ := x.store.Position(); cover != pos {
+				if cover.Offset -= segmentBindLineLen; cover.Offset < 0 {
+					cover = storage.Position{}
+				}
 			}
-		}
-		x.mu.Unlock()
-		if !loaded {
-			return x.Refresh() // a corrupt order: rebuild from the records
-		}
-		if exact {
-			return nil
-		}
-		done, err := x.tail(start)
-		if done || err != nil {
-			return err
-		}
-		x.mu.Lock()
-		x.resetLocked()
-		x.mu.Unlock()
-	}
-	// The full validation: trust the segment only if every run it claims
-	// still exists — a recreated store must not inherit a previous
-	// store's bookkeeping. The same enumeration then drives the record
-	// catch-up.
-	ids := runner.ListRuns(x.store)
-	listed := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		listed[id] = true
-	}
-	valid := true
-	for _, m := range seg.metas {
-		if !listed[m.RunID] {
-			valid = false
-			break
+			x.mu.Lock()
+			if x.addSortedLocked(seg.metas) {
+				x.pos, x.segRuns = cover, len(seg.metas)
+			}
+			x.mu.Unlock()
 		}
 	}
-	if valid {
-		x.mu.Lock()
-		x.addSortedLocked(seg.metas)
-		x.mu.Unlock()
-	}
-	return x.refreshIDs(ids, pos)
+	return x.Refresh()
 }
 
 // resolves is the identity probe: the first and last of the segment's

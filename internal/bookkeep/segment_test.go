@@ -53,11 +53,16 @@ func recordRuns(t *testing.T, store *storage.Store, n int, exp string) {
 }
 
 // listCounter counts the name listings (ListNames and ListKeys calls)
-// reaching the backend it wraps: an index that lists no names answered
-// from its position alone.
+// and journal reads reaching the backend it wraps: an index that does
+// neither answered from its position alone.
 type listCounter struct {
 	storage.Backend
-	lists atomic.Int64
+	lists, journals atomic.Int64
+}
+
+func (c *listCounter) ReadJournal(from storage.Position, limit int) (storage.JournalDoc, error) {
+	c.journals.Add(1)
+	return c.Backend.ReadJournal(from, limit)
 }
 
 func (c *listCounter) ListNames() ([]string, error) {
@@ -170,7 +175,7 @@ func TestSegmentIsTrustedOnExactPosition(t *testing.T) {
 		pos, _ := store.Position()
 		// Claim the predicted post-put position — the same arithmetic
 		// SaveSegment relies on.
-		seg := segment{hasPos: true, pos: pos, metas: metas}
+		seg := segment{pos: pos, metas: metas}
 		seg.pos.Offset += segmentBindLineLen
 		if _, err := store.Put(SegmentNS, "segment", encodeSegment(seg)); err != nil {
 			t.Fatal(err)
@@ -180,6 +185,7 @@ func TestSegmentIsTrustedOnExactPosition(t *testing.T) {
 		}
 
 		c.lists.Store(0)
+		c.journals.Store(0)
 		x2, err := BuildIndex(store)
 		if err != nil {
 			t.Fatal(err)
@@ -190,6 +196,9 @@ func TestSegmentIsTrustedOnExactPosition(t *testing.T) {
 		}
 		if n := c.lists.Load(); n != 0 {
 			t.Fatalf("exact-position BuildIndex listed names %d times, want 0", n)
+		}
+		if n := c.journals.Load(); n != 0 {
+			t.Fatalf("exact-position BuildIndex read the journal %d times, want 0", n)
 		}
 	})
 }
@@ -397,12 +406,12 @@ func TestSegmentCodecRoundTrip(t *testing.T) {
 		{RunID: "run-10000", Description: "", Experiment: "ZEUS", Config: "c",
 			Externals: "e", Passed: true},
 	}
-	in := segment{hasPos: true, pos: storage.Position{Generation: 7, Offset: 1 << 33}, metas: metas}
+	in := segment{pos: storage.Position{Generation: 7, Offset: 1 << 33}, metas: metas}
 	out, err := decodeSegment(encodeSegment(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.hasPos || out.pos != in.pos || len(out.metas) != len(in.metas) {
+	if out.pos != in.pos || len(out.metas) != len(in.metas) {
 		t.Fatalf("segment header round trip: %+v", out)
 	}
 	for i := range metas {
@@ -487,7 +496,7 @@ func TestEncodeSegmentInternsSharedListsOnce(t *testing.T) {
 		metas = append(metas, &RunMeta{RunID: fmt.Sprintf("run-%04d", i+1), Experiment: []string{"H1", "ZEUS"}[i%2],
 			Config: "SL6/64bit gcc4.4", Externals: "root-5.34", Jobs: len(marks), Marks: marks})
 	}
-	seg := segment{hasPos: true, pos: storage.Position{Generation: 2, Offset: 4096}, metas: metas}
+	seg := segment{pos: storage.Position{Generation: 2, Offset: 4096}, metas: metas}
 	if got, want := encodeSegment(seg), encodeSegmentPerRun(seg); !bytes.Equal(got, want) {
 		t.Fatalf("encodeSegment output (%d bytes) differs from the per-run encoding (%d bytes)", len(got), len(want))
 	}
@@ -538,11 +547,7 @@ func encodeSegmentPerRun(s segment) []byte {
 	for _, v := range table {
 		putStr(v)
 	}
-	if s.hasPos {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
+	buf = append(buf, 1)
 	buf = binary.AppendUvarint(buf, uint64(s.pos.Generation))
 	buf = binary.AppendUvarint(buf, uint64(s.pos.Offset))
 	buf = binary.AppendUvarint(buf, uint64(len(s.metas)))

@@ -169,7 +169,7 @@ td, th { border: 1px solid #888; padding: 4px 8px; }
 {{range .Jobs}}<tr class="{{.Result.Outcome}}">
 <td>{{.JobID}}</td><td>{{.Result.Test}}</td><td>{{.Result.Category}}</td>
 <td>{{.Result.Outcome}}</td><td>{{.Result.Detail}}</td>
-<td>{{if .OutputHref}}<a href="{{.OutputHref}}">output</a>{{end}}</td>
+<td>{{if .OutputHref}}<a href="{{.OutputHref}}">output</a>{{else}}{{.Result.OutputKey}}{{end}}</td>
 </tr>{{end}}
 </table></body></html>
 `))
@@ -225,7 +225,7 @@ type runRow struct {
 
 // HTMLRunLinked renders one run's page with outputHref supplying each
 // job's output link target from its storage key ("" suppresses the
-// link).
+// link, and the key is shown as plain text).
 func HTMLRunLinked(rec *runner.RunRecord, outputHref func(outputKey string) string) (string, error) {
 	rows := make([]runRow, len(rec.Jobs))
 	for i, j := range rec.Jobs {
@@ -245,10 +245,11 @@ func HTMLRunLinked(rec *runner.RunRecord, outputHref func(outputKey string) stri
 	return b.String(), nil
 }
 
-// HTMLRun renders one run's page for the static site, with cells linked
-// to output blobs under the relative blob/ prefix.
+// HTMLRun renders one run's page for the static site. The site holds
+// no blobs, so each job's output is named by its storage key, unlinked;
+// spserve's pages link it to the store API instead.
 func HTMLRun(rec *runner.RunRecord) (string, error) {
-	return HTMLRunLinked(rec, func(key string) string { return "blob/" + key })
+	return HTMLRunLinked(rec, func(string) string { return "" })
 }
 
 // siteFormat identifies the current page templates. Bump it when a

@@ -120,17 +120,27 @@ func TestHTMLMatrixEscapingAndLinks(t *testing.T) {
 	}
 }
 
+// TestHTMLRunLinksOutputs: the static site's run page names each output
+// by its storage key without a link (the site holds no blobs), while a
+// page rendered with a link function links it.
 func TestHTMLRunLinksOutputs(t *testing.T) {
 	rec := sampleRun(t)
 	out, err := HTMLRun(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, `href="blob/some/key"`) {
-		t.Error("output link missing")
+	if !strings.Contains(out, "<td>some/key</td>") || strings.Contains(out, `href="blob/`) {
+		t.Errorf("static run page does not name the output unlinked:\n%s", out)
 	}
 	if !strings.Contains(out, `class="fail"`) {
 		t.Error("fail styling missing")
+	}
+	linked, err := HTMLRunLinked(rec, func(key string) string { return "/api/v1/blob/" + key })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(linked, `<a href="/api/v1/blob/some/key">output</a>`) {
+		t.Errorf("output link missing:\n%s", linked)
 	}
 }
 

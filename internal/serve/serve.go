@@ -273,9 +273,7 @@ func (s *Server) refresh() {
 func (s *Server) observeLocked(pos storage.Position) {
 	total := s.index.TotalRuns()
 	planHash := s.planHash()
-	regressed := pos.Generation < s.servedPos.Generation ||
-		(pos.Generation == s.servedPos.Generation && pos.Offset < s.servedPos.Offset)
-	if regressed || total < s.lastTotal {
+	if pos.Before(s.servedPos) || total < s.lastTotal {
 		// The history shrank under us — the store was torn down and
 		// recreated. Fold a new epoch into every validator (the new
 		// history could coincidentally reach the old one's position) and

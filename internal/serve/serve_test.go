@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -304,6 +306,54 @@ func TestServeLiveStore(t *testing.T) {
 	code, body, _ = get(t, ts, "/diff/run-0004")
 	if code != 200 || !strings.Contains(body, first.RunID) {
 		t.Fatalf("live diff = %d %q", code, body)
+	}
+}
+
+// TestServeRecreatedStore: a store wiped and recreated under a live
+// server is served as the new store alone: the matrix names only the
+// cells the new store recorded.
+func TestServeRecreatedStore(t *testing.T) {
+	dir := t.TempDir()
+	wstore, err := storage.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rn := runner.New(wstore, simclock.New())
+	for i := 0; i < 3; i++ {
+		record(t, wstore, rn, "H1", fmt.Sprintf("old %d", i), valtest.OutcomePass)
+	}
+	if err := wstore.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rstore, err := storage.OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rstore.Close()
+	srv, err := New(rstore, "recreated", 0) // refresh on every request
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if code, body, _ := get(t, ts, "/api/v1/matrix"); code != 200 || !strings.Contains(body, `"H1"`) {
+		t.Fatalf("matrix before recreation = %d %s", code, body)
+	}
+
+	for _, f := range []string{"names.log", "names.snapshot"} {
+		if err := os.Remove(filepath.Join(dir, f)); err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+	}
+	wstore, err = storage.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wstore.Close()
+	record(t, wstore, runner.New(wstore, simclock.New()), "ZEUS", "new", valtest.OutcomePass)
+	code, body, _ := get(t, ts, "/api/v1/matrix")
+	if code != 200 || !strings.Contains(body, `"ZEUS"`) || strings.Contains(body, `"H1"`) {
+		t.Fatalf("matrix after recreation = %d %s, want the ZEUS cell alone", code, body)
 	}
 }
 

@@ -57,14 +57,15 @@ import (
 //	                       the request to its primary and answers the
 //	                       primary's delta or refusal, so its reply can
 //	                       reach past the relay's own /position.
-//	                       A position the store cannot tail from
-//	                       answers 409 position_gone: its generation is
-//	                       gone (compacted twice over on the writer,
-//	                       once under a read view), its offset is past
-//	                       the journal's end or not on an entry
-//	                       boundary, or the store keeps no journal (an
-//	                       in-memory store) and the position is not its
-//	                       own. The client then re-walks /names.
+//	                       An in-memory store serves the journal lines
+//	                       it keeps, as generation 0. A position the
+//	                       store cannot tail from answers 409
+//	                       position_gone: its generation is gone
+//	                       (compacted twice over on the writer, once
+//	                       under a read view, any but 0 in memory), or
+//	                       its offset is past the journal's end or not
+//	                       on an entry boundary. The client then
+//	                       re-walks /names.
 //
 // Write routes (PUT /blob/{hash}, POST /name, POST /counter) exist but
 // are disabled unless the serving process configured a shared token;
@@ -155,18 +156,6 @@ type JournalDoc struct {
 	Position Position `json:"position"`
 	// More reports that further entries follow Position.
 	More bool `json:"more,omitempty"`
-}
-
-// JournalReader is implemented by backends that can serve their name
-// journal from a Position: the on-disk writer and read view, both from
-// names.log, and the remote view, which forwards the request to its
-// primary. The /journal route serves from it, and bookkeep.Index reads
-// the runs recorded since the position it covers through it.
-type JournalReader interface {
-	// ReadJournal returns up to limit entries appended after from, or
-	// an error wrapping ErrPositionGone when from is not a point of the
-	// backend's current journal history.
-	ReadJournal(from Position, limit int) (JournalDoc, error)
 }
 
 // ErrPositionGone is wrapped by a ReadJournal error for a position the
@@ -575,13 +564,7 @@ func (h *APIHandler) serveJournal(w http.ResponseWriter, r *http.Request) {
 		writeNegotiatedJSON(w, r, JournalDoc{Bindings: []BindingDoc{}, Position: pos}, "")
 		return
 	}
-	jr, ok := h.store.Backend().(JournalReader)
-	if !ok {
-		WriteAPIError(w, http.StatusConflict, "position_gone",
-			"this store keeps no journal to tail; walk /names")
-		return
-	}
-	doc, err := jr.ReadJournal(from, limit)
+	doc, err := h.store.Backend().ReadJournal(from, limit)
 	switch {
 	case errors.Is(err, ErrPositionGone):
 		WriteAPIError(w, http.StatusConflict, "position_gone", err.Error()+"; walk /names")

@@ -23,7 +23,10 @@ import (
 //
 // All four keep their bindings and history Position in one embedded
 // name table (nametable.go), which implements the name-reading methods
-// below.
+// below, and serve the name history behind that Position through
+// ReadJournal: the on-disk writer and read view from names.log, the
+// remote view by forwarding to its primary, and the in-memory backend
+// from the journal lines it keeps.
 //
 // A Backend must be safe for concurrent use by any number of
 // goroutines. Names passed to the binding methods are pre-validated
@@ -58,6 +61,14 @@ type Backend interface {
 	// Position returns how much name history the bindings cover. ok is
 	// always true; see (*Store).Position.
 	Position() (Position, bool)
+	// ReadJournal returns up to limit bindings appended to the name
+	// history after from, in journal order, and the Position the reply
+	// covers; More is set when further entries follow. A from that is
+	// not a point of the backend's current history (a generation gone,
+	// an offset past the end or not on an entry boundary) is refused
+	// with an error wrapping ErrPositionGone. The /journal route serves
+	// it, and bookkeep.Index catches up through it.
+	ReadJournal(from Position, limit int) (JournalDoc, error)
 
 	// Increment atomically adds n (n >= 1; anything less is an error)
 	// to the integer counter bound to the name and returns the new

@@ -267,7 +267,7 @@ func scanJournal(r io.Reader, startOffset int64, limit int, apply func(name, has
 	}
 }
 
-// ReadJournal implements JournalReader from names.log. Only
+// ReadJournal implements Backend from names.log. Only
 // acknowledged bytes are served (up to the position's offset, sampled
 // with its generation). The file is read outside b.mu, so appends
 // proceed; a Compact bumps the generation, under b.mu, before it
@@ -303,10 +303,11 @@ func (b *FSBackend) ReadJournal(from Position, limit int) (JournalDoc, error) {
 	return doc, nil
 }
 
-// readJournal serves a JournalReader from the journal at path, whose
-// history is generation gen up to byte offset end: the caller passes
-// the end of the content it has acknowledged (the writer) or applied
-// (the read view), so bytes still in flight are never served. It
+// readJournal answers a disk backend's ReadJournal from the journal at
+// path, whose history is generation gen up to byte offset end: the
+// caller passes the end of the content it has acknowledged (the
+// writer) or applied (the read view), so bytes still in flight are
+// never served. It
 // returns up to limit entries after from. The read is refused with
 // ErrPositionGone for another generation, a file that is not want
 // (nil: no identity check), a stillGen re-check after the read that

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -110,16 +111,34 @@ func TestJournalRoute(t *testing.T) {
 	}
 }
 
-// TestJournalRouteWithoutHistory: a store that keeps no journal answers
-// position_gone for any position but its own, and a relay over a remote
-// store forwards its primary's delta, refusals included.
+// TestJournalRouteWithoutHistory: a store with no journal file serves
+// its history all the same — an in-memory store its delta in
+// generation 0, refusing any other generation and an offset inside an
+// entry — and a relay over a remote store forwards its primary's delta,
+// refusals included.
 func TestJournalRouteWithoutHistory(t *testing.T) {
 	mem := NewStore()
-	if _, err := mem.Put("runs", "run-0001", []byte("one")); err != nil {
+	m1, err := mem.Put("runs", "run-0001", []byte("one"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	status, body := getJournal(t, serveStore(t, mem).URL, 0, 0)
-	wantGone(t, "in-memory store", status, body)
+	mid, _ := mem.Position()
+	m2, _ := mem.Put("runs", "run-0002", []byte("two"))
+	memEnd, _ := mem.Position()
+	memURL := serveStore(t, mem).URL
+	status, body := getJournal(t, memURL, 0, 0)
+	wantMem := []BindingDoc{{"runs/run-0001", m1}, {"runs/run-0002", m2}}
+	if doc := decodeJournal(t, body); status != http.StatusOK || doc.Position != memEnd || doc.More || !reflect.DeepEqual(doc.Bindings, wantMem) {
+		t.Fatalf("in-memory store from 0: %d %+v, want %v up to %+v", status, doc, wantMem, memEnd)
+	}
+	status, body = getJournal(t, memURL, 0, mid.Offset)
+	if doc := decodeJournal(t, body); status != http.StatusOK || doc.Position != memEnd || !reflect.DeepEqual(doc.Bindings, wantMem[1:]) {
+		t.Fatalf("in-memory store from %+v: %d %+v, want %v", mid, status, doc, wantMem[1:])
+	}
+	status, body = getJournal(t, memURL, 1, 0)
+	wantGone(t, "in-memory store, generation 1", status, body)
+	status, body = getJournal(t, memURL, 0, mid.Offset-3)
+	wantGone(t, "in-memory store, offset inside an entry", status, body)
 
 	dir := t.TempDir()
 	w, err := Open(dir)
@@ -148,6 +167,54 @@ func TestJournalRouteWithoutHistory(t *testing.T) {
 	}
 	status, body = getJournal(t, relay.URL, pos.Generation, pos.Offset-3)
 	wantGone(t, "relay, offset inside the primary's entry", status, body)
+}
+
+// TestMemoryJournalUnderConcurrentBinds: the in-memory backend reads
+// its journal lines outside its lock while binds append; every read
+// returns whole entries up to a position the backend reached, and the
+// final read carries every bind.
+func TestMemoryJournalUnderConcurrentBinds(t *testing.T) {
+	const writers, binds = 4, 200
+	m := NewMemoryBackend()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < binds; i++ {
+				if err := m.BindName(fmt.Sprintf("ns/w%d-%03d", w, i), HashBytes([]byte{byte(w), byte(i)})); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		doc, err := m.ReadJournal(Position{}, MaxPageLimit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if now, _ := m.Position(); now.Before(doc.Position) {
+			t.Fatalf("read reached %+v, past the backend's %+v", doc.Position, now)
+		}
+		for _, b := range doc.Bindings {
+			if _, ok := m.ResolveName(b.Name); !ok {
+				t.Fatalf("read carried %q, which is not bound", b.Name)
+			}
+		}
+	}
+	doc, err := m.ReadJournal(Position{}, MaxPageLimit)
+	if now, _ := m.Position(); err != nil || len(doc.Bindings) != writers*binds || doc.Position != now || doc.More {
+		t.Fatalf("final read: %d entries up to %+v (more %v, err %v), want %d up to %+v",
+			len(doc.Bindings), doc.Position, doc.More, err, writers*binds, now)
+	}
 }
 
 // TestJournalRouteReadView serves the route from the shared-lock read

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -12,13 +13,15 @@ import (
 // use the on-disk backend (Open / OpenFSBackend) for actual long-term
 // preservation.
 //
-// It keeps no journal, but its Position advances by the length of the
-// names.log line each bind would append, so position-keyed consumers
-// (index refresh, segment claims, served validators) run the same path
-// over it as over a disk store.
+// It keeps the names.log lines a disk store would append, in memory, as
+// generation 0 of its history: its Position is their length, and
+// ReadJournal serves them, so position-keyed consumers (index refresh,
+// segment claims, served validators, the /journal route) run the same
+// path over it as over a disk store.
 type MemoryBackend struct {
 	nameTable
-	blobs map[string][]byte // guarded by mu; SHA-256 hex -> content
+	blobs   map[string][]byte // guarded by mu; SHA-256 hex -> content
+	journal []byte            // guarded by mu; every bind's journal line, in order
 }
 
 // NewMemoryBackend returns an empty in-memory backend.
@@ -89,11 +92,31 @@ func (m *MemoryBackend) BindName(name, hash string) error {
 	return nil
 }
 
-// bindLocked records a binding and advances the position by the
-// journal line it stands for. The caller holds m.mu.
+// bindLocked records a binding and appends the journal line it stands
+// for, which moves the position to the journal's new end. The caller
+// holds m.mu.
 func (m *MemoryBackend) bindLocked(name, hash string) {
 	m.names[name] = hash
-	m.pos.Offset += int64(len(journalLine(name, hash)))
+	m.journal = append(m.journal, journalLine(name, hash)...)
+	m.pos.Offset = int64(len(m.journal))
+}
+
+// ReadJournal serves the journal lines after from. The backend never
+// compacts, so its whole history is generation 0; any other generation
+// is refused. Lines are only ever appended, so the slice taken under
+// the lock stays valid while it is read without it.
+func (m *MemoryBackend) ReadJournal(from Position, limit int) (JournalDoc, error) {
+	if from.Generation != 0 {
+		return JournalDoc{}, fmt.Errorf("%w: generation %d is not the in-memory store's 0", ErrPositionGone, from.Generation)
+	}
+	m.mu.RLock()
+	journal := m.journal
+	m.mu.RUnlock()
+	doc := JournalDoc{Bindings: []BindingDoc{}, Position: from}
+	if err := journalDelta(bytes.NewReader(journal), int64(len(journal)), limit, &doc); err != nil {
+		return JournalDoc{}, err
+	}
+	return doc, nil
 }
 
 // Increment atomically adds by to the counter bound to the name. The

@@ -16,9 +16,8 @@ import (
 // plus the byte length of names.log applied on top of it. The on-disk
 // writer advances it by each acknowledged journal write, the read view
 // by each entry it tails, the remote view to the primary's position,
-// and the in-memory backend by the length of the names.log line each
-// bind would append (see journalLine). The zero Position covers the
-// empty history.
+// and the in-memory backend by each names.log line it keeps in memory
+// (see journalLine). The zero Position covers the empty history.
 type nameTable struct {
 	mu    sync.RWMutex
 	names map[string]string // guarded by mu; "namespace/key" -> blob hash
@@ -27,7 +26,7 @@ type nameTable struct {
 
 // journalLine encodes one names.log line, newline included. It is the
 // one encoder of a binding's journal bytes: the on-disk writer appends
-// it, and the in-memory backend counts its length into its Position.
+// it, and the in-memory backend keeps it in memory.
 func journalLine(name, hash string) []byte {
 	// Marshaling a struct of two strings cannot fail.
 	line, _ := json.Marshal(journalEntry{Name: name, Hash: hash})

@@ -271,7 +271,7 @@ func (b *FSReadBackend) HasBlob(hash string) bool { return fsHasBlob(b.dir, hash
 // ListBlobs walks the blob tree and returns all hashes, sorted.
 func (b *FSReadBackend) ListBlobs() ([]string, error) { return fsListBlobs(b.dir) }
 
-// ReadJournal implements JournalReader from names.log, up to the
+// ReadJournal implements Backend from names.log, up to the
 // offset the view has applied: a client of the view never gets ahead
 // of the view's own /names and /position. The writer is another
 // process, so the guards are the ones Refresh relies on: the file must

@@ -35,7 +35,7 @@ import (
 //     costs O(new bindings), not O(archive), and a writer primary
 //     serves it across its own last compaction too. Only when the
 //     primary cannot serve that position (its generation is gone, or
-//     the store keeps no journal) does Refresh re-walk the paged
+//     its journal does not reach it) does Refresh re-walk the paged
 //     /names listing and replace the mirror whole. Between refreshes,
 //     ResolveName/ListNames answer from memory at zero network cost.
 //     The same /journal request serves ReadJournal, so an index over
@@ -367,7 +367,7 @@ func (b *RemoteBackend) tail(from Position) error {
 	}
 }
 
-// ReadJournal implements JournalReader by forwarding GET /journal to
+// ReadJournal implements Backend by forwarding GET /journal to
 // the primary: it is the one place the request is built, for Refresh's
 // tail, for an index catching up over this store, and for a relay's own
 // /journal route, which so serves its primary's delta. Every binding
@@ -402,7 +402,7 @@ func (b *RemoteBackend) ReadJournal(from Position, limit int) (JournalDoc, error
 	// generation: a primary serves a position one compaction behind up
 	// to the snapshot that compaction wrote, then on.
 	to := doc.Position
-	if to.before(from) || (to == from && (len(doc.Bindings) > 0 || doc.More)) {
+	if to.Before(from) || (to == from && (len(doc.Bindings) > 0 || doc.More)) {
 		return JournalDoc{}, fmt.Errorf("storage: remote store %s served a malformed journal delta: %d entries from %+v to %+v",
 			b.base, len(doc.Bindings), from, to)
 	}
@@ -425,7 +425,7 @@ func (b *RemoteBackend) ReadJournal(from Position, limit int) (JournalDoc, error
 // both are left alone, as is a mirror no walk has positioned yet. The
 // caller holds b.mu.
 func (b *RemoteBackend) applyDeltaLocked(from Position, doc JournalDoc) {
-	if !b.walked || b.pos.before(from) || doc.Position.before(b.pos) {
+	if !b.walked || b.pos.Before(from) || doc.Position.Before(b.pos) {
 		return
 	}
 	for _, bind := range doc.Bindings {

@@ -113,7 +113,7 @@ type Compactor interface {
 
 // Compact folds the backend's journal into a snapshot so reopening the
 // store costs O(appends since compaction) instead of O(lifetime). On
-// backends with no journal to fold (the in-memory store) it is a no-op;
+// the in-memory store, which has no reopen to speed up, it is a no-op;
 // on a read-only view it fails — compaction is the writer's privilege.
 func (s *Store) Compact() (CompactStats, error) {
 	if c, ok := s.backend.(Compactor); ok {
@@ -170,9 +170,9 @@ type Position struct {
 	Offset     int64 `json:"offset"`
 }
 
-// before reports whether p is an earlier point of the history than q:
+// Before reports whether p is an earlier point of the history than q:
 // an earlier generation, or an earlier offset in the same one.
-func (p Position) before(q Position) bool {
+func (p Position) Before(q Position) bool {
 	return p.Generation < q.Generation || (p.Generation == q.Generation && p.Offset < q.Offset)
 }
 
