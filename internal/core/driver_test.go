@@ -3,11 +3,14 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/platform"
+	"repro/internal/storage"
 	"repro/internal/valtest"
 	"repro/internal/vmhost"
 )
@@ -183,6 +186,53 @@ func TestFaultDriverCorruptBlobCaughtByScrub(t *testing.T) {
 	}
 	if bad.InputDigest == good.InputDigest {
 		t.Fatal("fault-injected scrub digests identically to an honest one")
+	}
+}
+
+// TestRemoteScrubReadsTheArchive: a remote view caches the blobs it
+// has verified, but a scrub over that view must certify the archive,
+// not the view's memory. The view reads a blob, the blob is damaged on
+// the primary's disk, and while the view's own read still answers from
+// its cache, a scrub through it reports the damage.
+func TestRemoteScrubReadsTheArchive(t *testing.T) {
+	primary, err := storage.OpenWith(t.TempDir(), storage.Options{Sync: storage.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	victim, err := primary.Put("data", "precious", []byte("irreplaceable physics"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(http.StripPrefix("/api/v1", storage.NewAPIHandler(primary, nil).EnableWrites("tok")))
+	defer ts.Close()
+	view, err := storage.OpenRemoteWith(ts.URL, storage.RemoteOptions{Token: "tok"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := view.GetBlob(victim); err != nil || string(got) != "irreplaceable physics" {
+		t.Fatalf("remote read before the damage = %q, %v", got, err)
+	}
+	if err := primary.Backend().(*storage.FSBackend).DamageBlob(victim, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := view.GetBlob(victim); err != nil {
+		t.Fatalf("the view's second read went past its cache: %v", err)
+	}
+
+	rec, err := NewWith(view, platform.NewRegistry()).ScrubDriver("", 0, "remote scrub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, j := range rec.Jobs {
+		if j.Result.Outcome == valtest.OutcomeFail && strings.Contains(j.Result.Detail, victim[:12]) {
+			found = true
+		}
+	}
+	if rec.Passed() || !found {
+		t.Fatalf("remote scrub passed=%v, failing page naming %s found=%v: it certified the view's cache",
+			rec.Passed(), victim[:12], found)
 	}
 }
 

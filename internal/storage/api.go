@@ -86,7 +86,8 @@ import (
 //
 // Every error response is `{"error":{"code":"...","message":"..."}}`
 // with a machine-readable code (bad_request, not_found,
-// method_not_allowed, position_gone, internal). WriteAPIError is
+// method_not_allowed, position_gone, internal; the write routes add
+// read_only, unauthorized and missing_blob). WriteAPIError is
 // exported so every route a server builds on top of this handler
 // (spserve's matrix, plan and runs routes) answers errors in the same
 // shape.
@@ -101,7 +102,8 @@ type APIErrorDoc struct {
 type APIErrorInfo struct {
 	// Code is a stable machine-readable error class: bad_request,
 	// not_found, method_not_allowed, position_gone or internal (the
-	// write routes add their own, see writeapi.go).
+	// write routes add their own, see writeapi.go: read_only,
+	// unauthorized and missing_blob).
 	Code string `json:"code"`
 	// Message is the human-readable detail.
 	Message string `json:"message"`

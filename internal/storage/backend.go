@@ -34,12 +34,17 @@ import (
 // computed by the caller with HashBytes.
 type Backend interface {
 	// PutBlob stores content under its precomputed SHA-256 hex hash.
-	// Storing the same hash twice is a no-op; the backend may assume
-	// hash == HashBytes(data). The backend must not alias data after
-	// returning.
+	// Storing the same hash twice is a no-op, so the remote view skips
+	// the upload of content it has already read or uploaded; the
+	// backend may assume hash == HashBytes(data). The backend must not
+	// alias data after returning.
 	PutBlob(hash string, data []byte) error
 	// GetBlob returns a copy of the content with the given hash, or an
-	// error if it is absent (or, for durable backends, corrupt).
+	// error if it is absent (or, for durable backends, corrupt). The
+	// content is verified against its hash when it is read from where
+	// the store keeps it; the remote view verifies once, when it
+	// fetches, and answers later reads of the hash from a cache of the
+	// verified bytes.
 	GetBlob(hash string) ([]byte, error)
 	// HasBlob reports whether content with the given hash is stored.
 	HasBlob(hash string) bool

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 )
 
@@ -88,6 +90,40 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := Restore(snap); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRemoteGetBlobCold reads a 1 MB blob through a remote view,
+// fetched and verified from the wire on every read: the blob is past
+// the cache's admission cap. B/op prices the response read, which
+// takes one buffer of the announced size.
+func BenchmarkRemoteGetBlobCold(b *testing.B) {
+	const size = 1 << 20
+	if size <= blobCacheMaxEntry {
+		b.Fatalf("a %d-byte blob is within the cache's admission cap; the reads would be warm", size)
+	}
+	primary := NewStore()
+	data := make([]byte, size)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	hash, err := primary.PutBlob(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(http.StripPrefix("/api/v1", NewAPIHandler(primary, nil)))
+	defer ts.Close()
+	r, err := OpenRemote(ts.URL)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.GetBlob(hash); err != nil {
 			b.Fatal(err)
 		}
 	}

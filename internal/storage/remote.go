@@ -42,9 +42,20 @@ import (
 //     the view, and a relay's own /journal route, read the primary's
 //     delta too; a delta that spans the mirror's position also moves
 //     the mirror.
-//   - Every blob read is re-verified against its hash after transfer —
+//   - Every blob is verified against its hash once, when it is fetched —
 //     the read-time verification the on-disk backends perform, applied
-//     to bytes that crossed a network instead of a disk.
+//     to bytes that crossed a network instead of a disk. Verified bytes,
+//     and bytes the primary accepted from this backend's PutBlob (the
+//     write route re-hashes every upload), enter a small byte-bounded
+//     LRU keyed by hash (blobcache.go). A hash names its content, so an
+//     entry never goes stale: GetBlob answers a cached hash with a copy
+//     and no request, HasBlob answers true, and PutBlob skips the
+//     upload. Two events empty the cache. A blob listing (ListBlobs,
+//     the enumeration a scrub starts with, a sync pass or Stats) does,
+//     so a scrub over this view reads every blob from the archive,
+//     not from memory. And a bind the primary refuses as missing_blob
+//     does: the store behind the URL lost content this backend
+//     believed uploaded, so the next PutBlob uploads again.
 //   - Without a token, all mutations fail with ErrReadOnly. With
 //     RemoteOptions.Token the backend is write-capable: every mutation
 //     (blob put, bind, counter increment, compare-and-swap) posts to
@@ -87,6 +98,9 @@ type RemoteBackend struct {
 	walked  bool              // guarded by mu; a /names walk has set pos, so Refresh can tail from it
 	fetches int               // guarded by mu; Refreshes and ReadJournals running
 	written map[string]string // guarded by mu; this backend's writes since the oldest running fetch began (nil: none running)
+
+	// blobs caches verified blob contents; see the type comment.
+	blobs blobCache
 }
 
 // RemoteOptions configures OpenRemoteWith.
@@ -210,11 +224,16 @@ func (b *RemoteBackend) apiURL(path string, query url.Values) string {
 	return s
 }
 
+// errMissingBlob marks the primary's refusal to bind a name to a blob
+// it does not hold (400 missing_blob).
+var errMissingBlob = errors.New("blob missing on the primary")
+
 // remoteAPIError decodes the error envelope from a non-2xx response
 // body, falling back to the raw status. A write the primary refuses
 // outright — 401 unauthorized (wrong token) or 403 read_only (writes
 // not enabled) — wraps ErrReadOnly: retrying it cannot succeed, and
-// callers such as the lease queue stop on it instead of polling.
+// callers such as the lease queue stop on it instead of polling. A
+// bind refused as missing_blob wraps errMissingBlob.
 func remoteAPIError(resp *http.Response, body []byte) error {
 	var doc APIErrorDoc
 	if err := json.Unmarshal(body, &doc); err == nil && doc.Error.Message != "" {
@@ -222,6 +241,9 @@ func remoteAPIError(resp *http.Response, body []byte) error {
 		if (resp.StatusCode == http.StatusUnauthorized && code == "unauthorized") ||
 			(resp.StatusCode == http.StatusForbidden && code == "read_only") {
 			return fmt.Errorf("remote store: %s (%s): %w", doc.Error.Message, code, ErrReadOnly)
+		}
+		if resp.StatusCode == http.StatusBadRequest && code == "missing_blob" {
+			return fmt.Errorf("remote store: %s (%s): %w", doc.Error.Message, code, errMissingBlob)
 		}
 		return fmt.Errorf("remote store: %s (%s)", doc.Error.Message, code)
 	}
@@ -244,6 +266,10 @@ func (b *RemoteBackend) get(method, rawURL string) (status int, body []byte, err
 // IDs (never reuse one), and a re-tried CAS observes its own earlier
 // win as a lost race, which lease callers treat as "not mine" — safe,
 // because an unexecuted claim simply expires.
+//
+// A missing_blob refusal empties the blob cache: the store behind the
+// URL lacks content this backend uploaded or read, so a PutBlob that
+// the cache would skip has to upload again.
 func (b *RemoteBackend) do(method, rawURL string, reqBody []byte) (status int, body []byte, err error) {
 	delay := b.backoff
 	for attempt := 0; ; attempt++ {
@@ -260,11 +286,15 @@ func (b *RemoteBackend) do(method, rawURL string, reqBody []byte) (status int, b
 		}
 		resp, rerr := b.client.Do(req)
 		if rerr == nil {
-			body, rerr = io.ReadAll(resp.Body)
+			body, rerr = readBody(resp)
 			resp.Body.Close()
 			if rerr == nil && resp.StatusCode < 500 {
 				if resp.StatusCode >= 400 {
-					return resp.StatusCode, body, remoteAPIError(resp, body)
+					err = remoteAPIError(resp, body)
+					if errors.Is(err, errMissingBlob) {
+						b.blobs.reset()
+					}
+					return resp.StatusCode, body, err
 				}
 				return resp.StatusCode, body, nil
 			}
@@ -281,6 +311,24 @@ func (b *RemoteBackend) do(method, rawURL string, reqBody []byte) (status int, b
 		b.sleep(delay)
 		delay *= 2
 	}
+}
+
+// readBody reads a response body whole. A body of announced length is
+// read into one buffer of that size; io.ReadAll, which grows its buffer
+// as it reads, takes several times the memory on a large blob. A HEAD
+// response announces the length of a body it does not carry, and a
+// length past maxWriteBody is not trusted to size an allocation; both
+// are read like a body of unknown length.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxWriteBody || resp.Request.Method == http.MethodHead {
+		return io.ReadAll(resp.Body)
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, body); err != nil {
+		return nil, err
+	}
+	return body, nil
 }
 
 // getJSON GETs and decodes one API document.
@@ -503,12 +551,17 @@ func (b *RemoteBackend) mirrorWriteLocked(name, hash string) {
 	}
 }
 
-// GetBlob fetches the content and re-verifies it against its hash, so
+// GetBlob answers a cached hash with a copy of its content. Otherwise
+// it fetches the content and verifies it against its hash, so
 // corruption — on the remote disk or in transit — surfaces as an error
-// at the point of access, exactly like a local read.
+// at the point of access, exactly like a local read; only content that
+// passes enters the cache.
 func (b *RemoteBackend) GetBlob(hash string) ([]byte, error) {
 	if !ValidBlobHash(hash) {
 		return nil, fmt.Errorf("storage: no blob %s", shortHash(hash))
+	}
+	if data, ok := b.blobs.get(hash); ok {
+		return data, nil
 	}
 	status, body, err := b.get(http.MethodGet, b.apiURL("/blob/"+hash, nil))
 	if status == http.StatusNotFound {
@@ -520,13 +573,18 @@ func (b *RemoteBackend) GetBlob(hash string) ([]byte, error) {
 	if HashBytes(body) != hash {
 		return nil, fmt.Errorf("storage: remote blob %s fails hash verification (corrupt at source or in transit)", shortHash(hash))
 	}
+	b.blobs.add(hash, body)
 	return body, nil
 }
 
-// HasBlob probes blob existence with one HEAD request.
+// HasBlob answers true for a cached hash, and otherwise probes blob
+// existence with one HEAD request.
 func (b *RemoteBackend) HasBlob(hash string) bool {
 	if !ValidBlobHash(hash) {
 		return false
+	}
+	if b.blobs.has(hash) {
+		return true
 	}
 	status, _, err := b.get(http.MethodHead, b.apiURL("/blob/"+hash, nil))
 	return err == nil && status == http.StatusOK
@@ -548,8 +606,13 @@ func (b *RemoteBackend) ListBlobs() ([]string, error) {
 }
 
 // ListBlobSizes is ListBlobs with per-blob sizes — what the sync engine
-// diffs, and what Stats sums.
+// diffs, and what Stats sums. It empties the blob cache first: a
+// listing is how a scrub enumerates the archive, and every blob read
+// after it must come from the archive, not from what this process read
+// before. Next to an O(archive) walk, refilling a cache of a few
+// hundred blobs costs nothing that shows.
 func (b *RemoteBackend) ListBlobSizes() ([]BlobDoc, error) {
+	b.blobs.reset()
 	var out []BlobDoc
 	after := ""
 	for {
@@ -590,17 +653,23 @@ func (b *RemoteBackend) postJSON(rawURL string, req, resp interface{}) error {
 	return nil
 }
 
-// PutBlob uploads the content to the primary's write API. Without a
-// token the remote view is read-only and the call fails like the read
-// view's would.
+// PutBlob uploads the content to the primary's write API, unless the
+// blob cache holds the hash: then the primary already served or
+// accepted that content. Content the primary accepts enters the cache.
+// Without a token the remote view is read-only and the call fails like
+// the read view's would.
 func (b *RemoteBackend) PutBlob(hash string, data []byte) error {
 	if b.token == "" {
 		return fmt.Errorf("storage: PutBlob on %s: %w", b.base, ErrReadOnly)
+	}
+	if b.blobs.has(hash) {
+		return nil
 	}
 	_, _, err := b.do(http.MethodPut, b.apiURL("/blob/"+hash, nil), data)
 	if err != nil {
 		return fmt.Errorf("storage: remote PutBlob %s: %w", shortHash(hash), err)
 	}
+	b.blobs.add(hash, data)
 	return nil
 }
 

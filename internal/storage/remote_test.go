@@ -227,7 +227,10 @@ func TestRemoteNamesPaging(t *testing.T) {
 
 // TestRemoteBlobVerification corrupts the wire bytes and expects the
 // client to refuse them: transport corruption must surface at the point
-// of access, never flow into a consumer or a replica.
+// of access, never flow into a consumer or a replica. The view caches
+// what it verified, so the tampered body is the first fetch of its
+// hash, and a refused body must not enter the cache: once the wire is
+// honest again, the same read returns the honest bytes.
 func TestRemoteBlobVerification(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(dir)
@@ -235,7 +238,11 @@ func TestRemoteBlobVerification(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	hash, err := w.Put("runs", "run-0001", []byte("honest content"))
+	clean, err := w.Put("runs", "run-0001", []byte("honest content"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := w.Put("runs", "run-0002", []byte("other honest content"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,12 +259,18 @@ func TestRemoteBlobVerification(t *testing.T) {
 	defer ts.Close()
 	r := fastRemote(t, ts.URL)
 
-	if got, err := r.GetBlob(hash); err != nil || string(got) != "honest content" {
+	if got, err := r.GetBlob(clean); err != nil || string(got) != "honest content" {
 		t.Fatalf("clean GetBlob = %q, %v", got, err)
 	}
 	corrupt.Store(true)
-	if _, err := r.GetBlob(hash); err == nil || !strings.Contains(err.Error(), "hash verification") {
-		t.Fatalf("corrupt GetBlob error = %v, want hash verification failure", err)
+	for i := 0; i < 2; i++ {
+		if _, err := r.GetBlob(hash); err == nil || !strings.Contains(err.Error(), "hash verification") {
+			t.Fatalf("corrupt GetBlob #%d error = %v, want hash verification failure", i+1, err)
+		}
+	}
+	corrupt.Store(false)
+	if got, err := r.GetBlob(hash); err != nil || string(got) != "other honest content" {
+		t.Fatalf("GetBlob after the wire is honest again = %q, %v; a refused body was kept", got, err)
 	}
 }
 

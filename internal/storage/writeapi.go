@@ -29,6 +29,11 @@ import (
 //	                    bind applies only if the name currently resolves
 //	                    to "old_hash" ("" = unbound) — the lost-race
 //	                    answer is 200 with swapped:false, not an error.
+//	                    A bind to a blob the store does not hold is 400
+//	                    missing_blob, its own code: a client that skips
+//	                    uploads of content it believes stored (the
+//	                    remote view's blob cache) learns from it that
+//	                    the store lost that content, and uploads again.
 //	POST /counter       atomically add "n" (absent or 0: 1; negative:
 //	                    400) to the named counter; returns the new
 //	                    value, the hash it was bound to and "n" echoed,
@@ -182,7 +187,7 @@ func (h *APIHandler) serveNameWrite(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !h.store.HasBlob(req.Hash) {
-		WriteAPIError(w, http.StatusBadRequest, "bad_request",
+		WriteAPIError(w, http.StatusBadRequest, "missing_blob",
 			"cannot bind "+req.Name+" to missing blob "+shortHash(req.Hash)+" (PUT the blob first)")
 		return
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -112,8 +113,9 @@ func TestWriteAPIAuthAndRoutes(t *testing.T) {
 		return status, doc, body
 	}
 	missing := HashBytes([]byte("never uploaded"))
-	if status, _, body := bind("runs/run-1", missing, false, ""); status != http.StatusBadRequest {
-		t.Fatalf("bind to missing blob: %d %s", status, body)
+	if status, _, body := bind("runs/run-1", missing, false, ""); status != http.StatusBadRequest ||
+		!strings.Contains(string(body), `"code":"missing_blob"`) {
+		t.Fatalf("bind to missing blob: %d %s, want 400 missing_blob", status, body)
 	}
 	if status, doc, body := bind("runs/run-1", hash, false, ""); status != http.StatusOK || !doc.Swapped {
 		t.Fatalf("bind: %d %s", status, body)
