@@ -159,14 +159,6 @@ func (o options) id() string {
 	return fmt.Sprintf("%s.%d", host, os.Getpid())
 }
 
-// newSystem builds an SPSystem over the store with all three HERA
-// experiments registered, optionally scaled down for quick cycles.
-// core.NewHERA keeps spd and spsys registering digest-identical suites
-// over shared stores.
-func newSystem(quick bool, store *storage.Store) (*core.SPSystem, error) {
-	return core.NewHERA(store, quick)
-}
-
 // newCadence builds the wall-clock driver from the flags.
 func newCadence(opts options) (*cron.Driver, error) {
 	if opts.every > 0 {
@@ -243,7 +235,7 @@ func run(ctx context.Context, opts options) (err error) {
 			fmt.Printf("spd: %d cycles completed, exiting\n", cycle)
 			return nil
 		}
-		at, ok, err := waitNext(ctx, driver)
+		at, ok, err := driver.Wait(ctx.Done())
 		if err != nil {
 			return err
 		}
@@ -263,11 +255,6 @@ func cadenceLabel(opts options) string {
 	return fmt.Sprintf("cron %q", opts.cronSpec)
 }
 
-// waitNext blocks until the next firing or cancellation.
-func waitNext(ctx context.Context, driver *cron.Driver) (time.Time, bool, error) {
-	return driver.Wait(ctx.Done())
-}
-
 // runCycle performs one plan/execute pass over a system built
 // fresh from the experiment definitions (see the package comment: plan
 // verdicts must not depend on process lifetime). Cell-level failures
@@ -285,7 +272,7 @@ func runCycle(ctx context.Context, store *storage.Store, opts options, cycle int
 			return err
 		}
 	}
-	sys, err := newSystem(opts.quick, store)
+	sys, err := core.NewHERA(store, opts.quick)
 	if err != nil {
 		return err
 	}

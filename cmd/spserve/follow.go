@@ -32,22 +32,20 @@ type follower struct {
 	lastErr error            // guarded by mu
 }
 
-// newFollower opens the source URL and the replica directory. The
-// directory is opened writable — the follower is its one writer.
+// newFollower opens the replica directory and the source URL. The
+// directory is opened writable — the follower is its one writer — and
+// first, so a replica named by a URL is refused before any request.
 func newFollower(sourceURL, replicaDir string, every time.Duration) (*follower, error) {
-	if storage.IsRemoteStore(replicaDir) {
-		return nil, fmt.Errorf("-follow replicates into a local directory; -store %s is a URL", replicaDir)
-	}
 	if every <= 0 {
 		return nil, fmt.Errorf("-every must be positive, got %v", every)
 	}
-	src, err := storage.OpenRemote(sourceURL)
+	dst, err := storage.Open(replicaDir)
 	if err != nil {
 		return nil, err
 	}
-	dst, err := storage.Open(replicaDir)
+	src, err := storage.OpenRemote(sourceURL)
 	if err != nil {
-		src.Close()
+		dst.Close()
 		return nil, err
 	}
 	return &follower{

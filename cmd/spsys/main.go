@@ -158,14 +158,6 @@ func closeStore(store *storage.Store, retErr *error) {
 	}
 }
 
-// newSystem builds an SPSystem over the given common storage with all
-// three HERA experiments registered, optionally scaled down for quick
-// runs. The shared core.NewHERA constructor keeps spsys and spd
-// registering digest-identical suites over shared stores.
-func newSystem(quick bool, store *storage.Store) (*core.SPSystem, error) {
-	return core.NewHERA(store, quick)
-}
-
 func externalSet(sys *core.SPSystem, rootVersion string) (*externals.Set, error) {
 	root, err := sys.Catalogue.Get(externals.ROOT, rootVersion)
 	if err != nil {
@@ -222,7 +214,7 @@ func runCampaign(args []string) (err error) {
 		return err
 	}
 	defer closeStore(store, &err)
-	sys, err := newSystem(*quick, store)
+	sys, err := core.NewHERA(store, *quick)
 	if err != nil {
 		return err
 	}
@@ -331,7 +323,7 @@ func runValidate(args []string) (err error) {
 		return err
 	}
 	defer closeStore(store, &err)
-	sys, err := newSystem(*quick, store)
+	sys, err := core.NewHERA(store, *quick)
 	if err != nil {
 		return err
 	}
@@ -373,7 +365,7 @@ func runMigrate(args []string) (err error) {
 		return err
 	}
 	defer closeStore(store, &err)
-	sys, err := newSystem(*quick, store)
+	sys, err := core.NewHERA(store, *quick)
 	if err != nil {
 		return err
 	}
@@ -417,7 +409,7 @@ func runMatrix(args []string) (err error) {
 		return err
 	}
 	defer closeStore(store, &err)
-	sys, err := newSystem(true, store)
+	sys, err := core.NewHERA(store, true)
 	if err != nil {
 		return err
 	}
@@ -461,7 +453,7 @@ func runHistory(args []string) (err error) {
 		return err
 	}
 	defer closeStore(store, &err)
-	sys, err := newSystem(true, store)
+	sys, err := core.NewHERA(store, true)
 	if err != nil {
 		return err
 	}
@@ -529,7 +521,7 @@ func runRuns(args []string) (err error) {
 		return err
 	}
 	defer closeStore(store, &err)
-	sys, err := newSystem(true, store)
+	sys, err := core.NewHERA(store, true)
 	if err != nil {
 		return err
 	}
@@ -671,9 +663,6 @@ func runStoreCorrupt(args []string) (err error) {
 	if *storeDir == "" {
 		return fmt.Errorf("store corrupt: -store is required")
 	}
-	if storage.IsRemoteStore(*storeDir) {
-		return fmt.Errorf("store corrupt: damages on-disk blob files; -store must be a local directory")
-	}
 	b, err := storage.OpenFSBackend(*storeDir)
 	if err != nil {
 		return err
@@ -735,9 +724,6 @@ func runStoreSync(args []string) (err error) {
 		return fmt.Errorf("usage: spsys store sync SRC DST (SRC: store directory or spserve URL; DST: directory)")
 	}
 	srcName, dstName := fs.Arg(0), fs.Arg(1)
-	if storage.IsRemoteStore(dstName) {
-		return fmt.Errorf("store sync: DST must be a local directory — a served store is read-only (run the sync on the replica's host, or use `spserve -follow`)")
-	}
 	src, err := storage.OpenView(srcName)
 	if err != nil {
 		return err

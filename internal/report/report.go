@@ -89,28 +89,6 @@ func TextRun(rec *runner.RunRecord) string {
 	return b.String()
 }
 
-// TextScrubHistory renders the archive's integrity-scrub verdicts,
-// newest first: one line per recorded scrub run with its page/outcome
-// counts. This is the operator's bit-rot ledger — a FAILED line names a
-// scrub run whose job table (TextRun) identifies the damaged blobs.
-func TextScrubHistory(metas []*bookkeep.RunMeta) string {
-	var b strings.Builder
-	tw := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "RUN\tTIME\tPAGES\tPASS\tFAIL\tERROR\tVERDICT\tDESCRIPTION")
-	for i := len(metas) - 1; i >= 0; i-- {
-		m := metas[i]
-		verdict := "clean"
-		if !m.Passed {
-			verdict = "FAILED"
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\t%s\t%s\n",
-			m.RunID, time.Unix(m.Timestamp, 0).UTC().Format(time.RFC3339),
-			m.Jobs, m.Pass, m.Fail, m.Error, verdict, m.Description)
-	}
-	tw.Flush()
-	return b.String()
-}
-
 // TextDiff renders a diff with its attribution — the examination report
 // the paper prescribes after a failed validation.
 func TextDiff(d *bookkeep.Diff) string {

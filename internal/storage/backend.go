@@ -28,6 +28,13 @@ import (
 // remote view by forwarding to its primary, and the in-memory backend
 // from the journal lines it keeps.
 //
+// Every backend answers every method; none is a capability found by
+// type assertion, so a wrapper that embeds Backend keeps them all. The
+// writer and the in-memory backend return nil from Refresh, and the
+// in-memory one zero stats from Compact. The read view refuses Compact
+// and CompareAndSwapName with ErrReadOnly, and the remote view refuses
+// Compact (and, without a token, every mutation).
+//
 // A Backend must be safe for concurrent use by any number of
 // goroutines. Names passed to the binding methods are pre-validated
 // "namespace/key" strings; blob hashes are lowercase SHA-256 hex
@@ -86,6 +93,14 @@ type Backend interface {
 	// Increment of the same backend.
 	Increment(name string, n int) (int, error)
 
+	// CompareAndSwapName binds name to newHash if and only if it
+	// currently resolves to oldHash ("" = unbound), in one atomic step,
+	// and reports whether it did; false with a nil error is a lost race.
+	CompareAndSwapName(name, oldHash, newHash string) (bool, error)
+	// Refresh catches the backend up with another process's writes.
+	Refresh() error
+	// Compact folds the name journal into a snapshot.
+	Compact() (CompactStats, error)
 	// Stats summarizes stored contents.
 	Stats() (Stats, error)
 	// Close flushes and releases the backend. The in-memory backend's

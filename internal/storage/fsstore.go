@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -151,13 +152,17 @@ type journalEntry struct {
 // at dir with default options, takes the store's exclusive writer lock,
 // loads its snapshot (if it has one) and replays the journal tail on
 // top. It fails fast when another live process already holds the store
-// open.
+// open, and when dir is a URL, which would otherwise become a new
+// local store "http:/host".
 func OpenFSBackend(dir string) (*FSBackend, error) {
 	return OpenFSBackendWith(dir, Options{})
 }
 
 // OpenFSBackendWith is OpenFSBackend with explicit Options.
 func OpenFSBackendWith(dir string, opts Options) (*FSBackend, error) {
+	if strings.Contains(dir, "://") {
+		return nil, fmt.Errorf("storage: %s is a remote store, not a directory: a writer opens a local store directory", dir)
+	}
 	for _, sub := range []string{"blobs", "tmp"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("storage: opening fs store: %w", err)
@@ -208,6 +213,10 @@ func (b *FSBackend) journalPath() string { return filepath.Join(b.dir, "names.lo
 // Dir returns the store directory — the seam the API handler uses to
 // stat blobs without reading them.
 func (b *FSBackend) Dir() string { return b.dir }
+
+// Refresh is a no-op: the writer holds the store's exclusive lock, so
+// every binding in it is its own.
+func (b *FSBackend) Refresh() error { return nil }
 
 func (b *FSBackend) blobPath(hash string) string {
 	return filepath.Join(b.dir, "blobs", hash[:2], hash)
@@ -648,7 +657,7 @@ func (b *FSBackend) BindName(name, hash string) error {
 	return b.appendLocked(journalLine(name, hash))
 }
 
-// CompareAndSwapName implements Swapper: the current-value check and
+// CompareAndSwapName is the Backend's: the current-value check and
 // the rebind happen under the same b.mu critical section that orders
 // every other binding mutation, so of any number of concurrent swappers
 // expecting the same prior hash exactly one wins. Like Increment, the

@@ -155,5 +155,11 @@ func (m *MemoryBackend) Stats() (Stats, error) {
 	return st, nil
 }
 
+// Refresh is a no-op: the in-memory backend sees its own writes.
+func (m *MemoryBackend) Refresh() error { return nil }
+
+// Compact is a no-op: the in-memory backend has no reopen to speed up.
+func (m *MemoryBackend) Compact() (CompactStats, error) { return CompactStats{}, nil }
+
 // Close is a no-op for the in-memory backend.
 func (m *MemoryBackend) Close() error { return nil }

@@ -4,6 +4,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestOpenViewErrorPaths pins the -store dispatch failures down to
@@ -56,7 +57,7 @@ func TestOpenViewErrorPaths(t *testing.T) {
 			if IsRemoteStore(tc.store) {
 				// Route through the fast-retry options so the unreachable
 				// case does not sleep through real backoff.
-				_, err = OpenRemoteWith(tc.store, RemoteOptions{Retries: 1})
+				_, err = OpenRemoteWith(tc.store, RemoteOptions{Backoff: time.Nanosecond})
 			} else {
 				_, err = OpenView(tc.store)
 			}

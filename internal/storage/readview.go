@@ -306,6 +306,16 @@ func (b *FSReadBackend) Increment(name string, n int) (int, error) {
 	return 0, fmt.Errorf("storage: Increment %s on %s: %w", name, b.dir, ErrReadOnly)
 }
 
+// CompareAndSwapName fails: the view is read-only.
+func (b *FSReadBackend) CompareAndSwapName(name, oldHash, newHash string) (bool, error) {
+	return false, fmt.Errorf("storage: CompareAndSwapName %s on %s: %w", name, b.dir, ErrReadOnly)
+}
+
+// Compact fails: compaction is the writer's privilege.
+func (b *FSReadBackend) Compact() (CompactStats, error) {
+	return CompactStats{}, fmt.Errorf("storage: compacting %s: %w", b.dir, ErrReadOnly)
+}
+
 // Stats reports the binding count as of the last Refresh plus blob
 // statistics walked from the blob tree on every call, exactly as the
 // writer's Stats does: a diagnostic, not a hot path.

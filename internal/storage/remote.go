@@ -80,7 +80,6 @@ import (
 type RemoteBackend struct {
 	base    string // scheme://host[:port][/prefix], no trailing slash
 	client  *http.Client
-	retries int
 	backoff time.Duration
 	sleep   func(time.Duration)
 	token   string // shared write token; "" = read-only view
@@ -103,16 +102,20 @@ type RemoteBackend struct {
 	blobs blobCache
 }
 
+// remoteAttempts is the number of attempts per request on transport
+// errors and 5xx responses; defaultBackoff is the first retry's delay.
+const (
+	remoteAttempts = 3
+	defaultBackoff = 200 * time.Millisecond
+)
+
 // RemoteOptions configures OpenRemoteWith.
 type RemoteOptions struct {
 	// Client is the HTTP client; nil means a client with a 30s total
 	// request timeout.
 	Client *http.Client
-	// Retries is the number of attempts per request on transport errors
-	// and 5xx responses; 0 means the default (3).
-	Retries int
 	// Backoff is the first retry's delay, doubled per attempt; 0 means
-	// the default (200ms).
+	// defaultBackoff.
 	Backoff time.Duration
 	// Token enables writes: mutations are sent to the write routes of
 	// the store API with "Authorization: Bearer <token>". Empty keeps
@@ -153,18 +156,13 @@ func OpenRemoteBackend(baseURL string, opts RemoteOptions) (*RemoteBackend, erro
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}
 	}
-	retries := opts.Retries
-	if retries <= 0 {
-		retries = 3
-	}
 	backoff := opts.Backoff
 	if backoff <= 0 {
-		backoff = 200 * time.Millisecond
+		backoff = defaultBackoff
 	}
 	b := &RemoteBackend{
 		base:      strings.TrimRight(baseURL, "/"),
 		client:    client,
-		retries:   retries,
 		backoff:   backoff,
 		sleep:     cron.Sleeper(),
 		token:     opts.Token,
@@ -252,8 +250,8 @@ func remoteAPIError(resp *http.Response, body []byte) error {
 
 // get performs one GET (or HEAD) with retry/backoff, returning the
 // status code and, for GET, the full body. Transport errors and 5xx
-// responses are retried up to b.retries attempts with doubling backoff;
-// any 2xx/4xx answer is definitive.
+// responses get remoteAttempts attempts with doubling backoff; any
+// 2xx/4xx answer is definitive.
 func (b *RemoteBackend) get(method, rawURL string) (status int, body []byte, err error) {
 	return b.do(method, rawURL, nil)
 }
@@ -303,10 +301,10 @@ func (b *RemoteBackend) do(method, rawURL string, reqBody []byte) (status int, b
 			}
 		}
 		err = rerr
-		if attempt+1 >= b.retries {
+		if attempt+1 >= remoteAttempts {
 			// One line naming the store and the root cause; the transport
 			// wrappers in between repeat the URL without adding anything.
-			return 0, nil, fmt.Errorf("storage: remote store %s unreachable after %d attempts: %v", b.base, b.retries, rootCause(err))
+			return 0, nil, fmt.Errorf("storage: remote store %s unreachable after %d attempts: %v", b.base, remoteAttempts, rootCause(err))
 		}
 		b.sleep(delay)
 		delay *= 2
@@ -689,7 +687,7 @@ func (b *RemoteBackend) BindName(name, hash string) error {
 	return nil
 }
 
-// CompareAndSwapName implements Swapper over the write API. The race is
+// CompareAndSwapName is the Backend's over the write API. The race is
 // decided on the primary — the one place that sees every contender —
 // and the local mirror is updated only on a win.
 func (b *RemoteBackend) CompareAndSwapName(name, oldHash, newHash string) (bool, error) {
@@ -752,6 +750,11 @@ func (b *RemoteBackend) Stats() (Stats, error) {
 		st.Bytes += bd.Size
 	}
 	return st, nil
+}
+
+// Compact fails: compaction is the primary's privilege.
+func (b *RemoteBackend) Compact() (CompactStats, error) {
+	return CompactStats{}, fmt.Errorf("storage: compacting %s: %w", b.base, ErrReadOnly)
 }
 
 // SetSleep replaces the retry backoff's sleep function — the seam

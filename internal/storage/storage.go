@@ -80,51 +80,21 @@ func OpenOrMemory(dir string) (*Store, error) {
 // Backend returns the store's underlying backend.
 func (s *Store) Backend() Backend { return s.backend }
 
-// Refresher is implemented by backends whose contents can change
-// underneath them — the read-only view of a store a separate writer
-// process is appending to.
-type Refresher interface {
-	// Refresh catches the backend up with external changes.
-	Refresh() error
-}
-
-// Refresh catches the store up with changes made by another live
-// process sharing its directory. On the read-only view this re-tails
-// the name journal (cheap: one stat plus the appended bytes); on every
-// other backend — which sees its own writes immediately — it is a
-// no-op.
-func (s *Store) Refresh() error {
-	if r, ok := s.backend.(Refresher); ok {
-		return r.Refresh()
-	}
-	return nil
-}
+// Refresh catches the store up with another live process's writes. On
+// the read-only view this re-tails the name journal (one stat plus the
+// appended bytes); on a backend that sees its own writes it is a no-op.
+func (s *Store) Refresh() error { return s.backend.Refresh() }
 
 // Close flushes and releases the underlying backend. Closing the
 // in-memory store is a no-op.
 func (s *Store) Close() error { return s.backend.Close() }
 
-// Compactor is implemented by backends that can fold their append-only
-// history into a snapshot — the on-disk writer backend.
-type Compactor interface {
-	// Compact writes a fresh snapshot and truncates the journal.
-	Compact() (CompactStats, error)
-}
-
 // Compact folds the backend's journal into a snapshot so reopening the
 // store costs O(appends since compaction) instead of O(lifetime). On
 // the in-memory store, which has no reopen to speed up, it is a no-op;
-// on a read-only view it fails — compaction is the writer's privilege.
-func (s *Store) Compact() (CompactStats, error) {
-	if c, ok := s.backend.(Compactor); ok {
-		return c.Compact()
-	}
-	switch s.backend.(type) {
-	case *FSReadBackend, *RemoteBackend:
-		return CompactStats{}, fmt.Errorf("storage: compacting: %w", ErrReadOnly)
-	}
-	return CompactStats{}, nil
-}
+// on a read-only or remote view it fails with ErrReadOnly — compaction
+// is the writer's privilege.
+func (s *Store) Compact() (CompactStats, error) { return s.backend.Compact() }
 
 // StoreInfo extends Stats with snapshot/journal figures for operators.
 type StoreInfo struct {

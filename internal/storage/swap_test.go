@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// The CAS contract every Swapper backend must satisfy: "" means
+// The CAS contract every writable backend must satisfy: "" means
 // must-be-unbound, a stale expected hash loses, and the winner's bind
 // is observable immediately.
 func testSwapContract(t *testing.T, st *Store) {
@@ -111,8 +111,8 @@ func TestCompareAndSwapRace(t *testing.T) {
 	}
 }
 
-// Backends without the Swapper capability (the shared-lock read view)
-// must refuse rather than fall back to a non-atomic bind.
+// The shared-lock read view cannot decide a race, so its
+// CompareAndSwapName refuses rather than fall back to a non-atomic bind.
 func TestCompareAndSwapReadOnly(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(dir)

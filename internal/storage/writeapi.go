@@ -3,6 +3,7 @@ package storage
 import (
 	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -47,7 +48,8 @@ import (
 //
 // Writes are disabled unless the serving process configured a shared
 // token (spd -token / SPD_TOKEN); a handler without one answers 403
-// read_only. With one, every write must carry "Authorization: Bearer
+// read_only, and so does one over a store that cannot write (a read
+// view) on every write route. With one, every write must carry "Authorization: Bearer
 // <token>" and the comparison is constant-time. This is deliberately a
 // symmetric secret, not per-worker identity: workers are trusted
 // cluster members, and the fencing that matters — who may complete a
@@ -143,7 +145,7 @@ func (h *APIHandler) serveBlobPut(w http.ResponseWriter, r *http.Request, hash s
 		return
 	}
 	if err := h.store.Backend().PutBlob(hash, data); err != nil {
-		WriteAPIError(w, http.StatusInternalServerError, "internal", err.Error())
+		writeFailed(w, err)
 		return
 	}
 	WriteAPIJSON(w, BlobPutDoc{Hash: hash, Size: int64(len(data))})
@@ -191,26 +193,28 @@ func (h *APIHandler) serveNameWrite(w http.ResponseWriter, r *http.Request) {
 			"cannot bind "+req.Name+" to missing blob "+shortHash(req.Hash)+" (PUT the blob first)")
 		return
 	}
+	var swapped bool
+	var err error
 	if req.CAS {
-		sw, ok := h.store.Backend().(Swapper)
-		if !ok {
-			WriteAPIError(w, http.StatusForbidden, "read_only",
-				"the serving store cannot compare-and-swap")
-			return
-		}
-		swapped, err := sw.CompareAndSwapName(req.Name, req.OldHash, req.Hash)
-		if err != nil {
-			WriteAPIError(w, http.StatusInternalServerError, "internal", err.Error())
-			return
-		}
-		WriteAPIJSON(w, NameWriteDoc{Name: req.Name, Hash: req.Hash, Swapped: swapped})
+		swapped, err = h.store.Backend().CompareAndSwapName(req.Name, req.OldHash, req.Hash)
+	} else {
+		swapped, err = true, h.store.Backend().BindName(req.Name, req.Hash)
+	}
+	if err != nil {
+		writeFailed(w, err)
 		return
 	}
-	if err := h.store.Backend().BindName(req.Name, req.Hash); err != nil {
-		WriteAPIError(w, http.StatusInternalServerError, "internal", err.Error())
+	WriteAPIJSON(w, NameWriteDoc{Name: req.Name, Hash: req.Hash, Swapped: swapped})
+}
+
+// writeFailed answers a write the backend refused: 403 read_only when
+// the serving store cannot write (a read view), 500 internal otherwise.
+func writeFailed(w http.ResponseWriter, err error) {
+	if errors.Is(err, ErrReadOnly) {
+		WriteAPIError(w, http.StatusForbidden, "read_only", err.Error())
 		return
 	}
-	WriteAPIJSON(w, NameWriteDoc{Name: req.Name, Hash: req.Hash, Swapped: true})
+	WriteAPIError(w, http.StatusInternalServerError, "internal", err.Error())
 }
 
 // serveCounter answers POST /counter: the remote face of
@@ -247,7 +251,7 @@ func (h *APIHandler) serveCounter(w http.ResponseWriter, r *http.Request) {
 	}
 	n, err := h.store.Backend().Increment(req.Name, by)
 	if err != nil {
-		WriteAPIError(w, http.StatusInternalServerError, "internal", err.Error())
+		writeFailed(w, err)
 		return
 	}
 	hash, _ := h.store.Backend().ResolveName(req.Name)
